@@ -30,6 +30,20 @@ func (c *Column) Append(v int64) int {
 // Get returns the value at a row position.
 func (c *Column) Get(row int) int64 { return c.data[row] }
 
+// Window returns the n values starting at row start for reading: a
+// subslice of the column's storage whose capacity is clipped to its
+// length, so an append through it can never overwrite the rows that
+// follow (writes go through Set). Scan
+// kernels take a window once and range over it, paying one bounds check
+// per window instead of one per row (Get). It panics unless
+// 0 <= start, 0 <= n and start+n <= Len().
+func (c *Column) Window(start, n int) []int64 {
+	if start < 0 || n < 0 || start > len(c.data)-n {
+		panic(fmt.Sprintf("storage: column %s: window [%d, %d+%d) out of range [0, %d)", c.name, start, start, n, len(c.data)))
+	}
+	return c.data[start : start+n : start+n]
+}
+
 // Set overwrites the value at a row position.
 func (c *Column) Set(row int, v int64) { c.data[row] = v }
 

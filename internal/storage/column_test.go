@@ -121,3 +121,45 @@ func TestColumnAggregateMatchesReference(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestColumnWindow(t *testing.T) {
+	c := NewColumn("w", 64) // capacity beyond Len: clipping must hide it
+	for i := int64(0); i < 10; i++ {
+		c.Append(i * 3)
+	}
+	for _, tc := range []struct{ start, n int }{{0, 10}, {2, 5}, {9, 1}, {10, 0}, {0, 0}} {
+		w := c.Window(tc.start, tc.n)
+		if len(w) != tc.n || cap(w) != tc.n {
+			t.Fatalf("Window(%d, %d): len %d cap %d, want both %d", tc.start, tc.n, len(w), cap(w), tc.n)
+		}
+		for i, v := range w {
+			if v != c.Get(tc.start+i) {
+				t.Fatalf("Window(%d, %d)[%d] = %d, Get = %d", tc.start, tc.n, i, v, c.Get(tc.start+i))
+			}
+		}
+	}
+	// An append through a window reallocates instead of overwriting the
+	// rows that follow it.
+	w := c.Window(2, 3)
+	_ = append(w, -1)
+	if c.Get(5) != 15 {
+		t.Fatalf("append through window overwrote row 5: %d", c.Get(5))
+	}
+}
+
+func TestColumnWindowOutOfRangePanics(t *testing.T) {
+	c := NewColumn("w", 0)
+	for i := int64(0); i < 10; i++ {
+		c.Append(i)
+	}
+	for _, tc := range []struct{ start, n int }{{-1, 2}, {0, -1}, {0, 11}, {9, 2}, {11, 0}, {1, int(^uint(0) >> 1)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Window(%d, %d) did not panic", tc.start, tc.n)
+				}
+			}()
+			c.Window(tc.start, tc.n)
+		}()
+	}
+}

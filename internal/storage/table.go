@@ -95,6 +95,23 @@ func (t *Table) LookupRow(key int64) (int, bool) {
 	return int(row), ok
 }
 
+// LookupRows finds the row positions of a batch of keys, filling rows[i]
+// and found[i] exactly as LookupRow(int64(keys[i])) would. The probes go
+// through the index's grouped MultiGet, so their cache misses overlap.
+// On a table without an index every key is reported missing. All three
+// slices must have the same length.
+func (t *Table) LookupRows(keys, rows []uint64, found []bool) {
+	if len(rows) != len(keys) || len(found) != len(keys) {
+		panic(fmt.Sprintf("storage: table %s: LookupRows with %d keys, %d rows, %d found", t.name, len(keys), len(rows), len(found)))
+	}
+	if t.index == nil {
+		clear(rows)
+		clear(found)
+		return
+	}
+	t.index.MultiGet(keys, rows, found)
+}
+
 // GetRow materializes the row at a position.
 func (t *Table) GetRow(row int, out []int64) []int64 {
 	for _, c := range t.columns {

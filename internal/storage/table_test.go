@@ -123,3 +123,51 @@ func TestTableMemBytes(t *testing.T) {
 		t.Error("MemBytes should be positive")
 	}
 }
+
+func TestTableLookupRowsMatchesLookupRow(t *testing.T) {
+	tab := newPeople(t, true)
+	for i := int64(0); i < 100; i++ {
+		// Sparse keys, so half the probes below miss.
+		if _, err := tab.Insert([]int64{2 * i, i, -i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 200} {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64((i*37 + n) % 200)
+		}
+		rows := make([]uint64, n)
+		found := make([]bool, n)
+		tab.LookupRows(keys, rows, found)
+		for i, k := range keys {
+			wantRow, wantOK := tab.LookupRow(int64(k))
+			if found[i] != wantOK || (wantOK && int(rows[i]) != wantRow) {
+				t.Fatalf("n=%d: LookupRows[%d] key %d = (%d,%v), LookupRow = (%d,%v)", n, i, k, rows[i], found[i], wantRow, wantOK)
+			}
+		}
+	}
+}
+
+func TestTableLookupRowsUnindexed(t *testing.T) {
+	tab := newPeople(t, false)
+	if _, err := tab.Insert([]int64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	rows := []uint64{9, 9}
+	found := []bool{true, true}
+	tab.LookupRows([]uint64{1, 2}, rows, found)
+	if found[0] || found[1] || rows[0] != 0 || rows[1] != 0 {
+		t.Fatalf("unindexed LookupRows = %v %v, want all missing", rows, found)
+	}
+}
+
+func TestTableLookupRowsLengthMismatchPanics(t *testing.T) {
+	tab := newPeople(t, true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched LookupRows did not panic")
+		}
+	}()
+	tab.LookupRows([]uint64{1, 2}, make([]uint64, 1), make([]bool, 2))
+}

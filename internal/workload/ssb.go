@@ -119,6 +119,16 @@ type ssbPartition struct {
 	part      *storage.Table
 	supplier  *storage.Table
 	customer  *storage.Table
+	// orderdate is lineorder's scanned column, resolved once at build
+	// time instead of by name on every op.
+	orderdate *storage.Column
+	// keys, rows, and found are the scan-and-probe kernel's scratch:
+	// the compacted matching date keys and their probe results. The
+	// data-oriented engine runs one partition's ops on one thread at a
+	// time, so the partition owns them without locking.
+	keys  [ssbExecSampleRows]uint64
+	rows  [ssbExecSampleRows]uint64
+	found [ssbExecSampleRows]bool
 }
 
 // NewPartition implements Workload.
@@ -156,7 +166,38 @@ func (w *SSB) NewPartition(partition int, rng *rand.Rand) PartitionState {
 			rng.Int63n(ssbPartRows), 1 + rng.Int63n(50), rng.Int63n(11), 1 + rng.Int63n(100000),
 		}
 	})
+	st.orderdate = st.lineorder.Column("orderdate")
 	return st
+}
+
+// scanProbe is the sampled work of one SSB op (the kernel): it scans the
+// ssbExecSampleRows-row orderdate window at start, compacts the values
+// with lo <= v <= hi into sp.keys, and probes the date dimension for all
+// of them in one grouped lookup. It returns the match count; the probed
+// row positions are sp.rows[:n]. Every probe must hit — each orderdate
+// references an existing date row — so a miss is a storage-invariant
+// violation and panics with the missing key.
+func (sp *ssbPartition) scanProbe(start int, lo, hi int64) int {
+	win := sp.orderdate.Window(start, ssbExecSampleRows)
+	keys := &sp.keys
+	span := uint64(hi - lo)
+	n := 0
+	for _, v := range win {
+		// Branch-free compaction: always store, advance on a match. A
+		// uint8 index cannot leave the 256-entry buffer, and n never
+		// exceeds the row position, so live slots are not overwritten.
+		keys[uint8(n)] = uint64(v)
+		if uint64(v-lo) <= span {
+			n++
+		}
+	}
+	sp.date.LookupRows(sp.keys[:n], sp.rows[:n], sp.found[:n])
+	for i, f := range sp.found[:n] {
+		if !f {
+			panic(fmt.Sprintf("workload: ssb date probe missed key %d (orderdate window at row %d, match %d)", int64(sp.keys[i]), start, i))
+		}
+	}
+	return n
 }
 
 // opInstr models the per-partition cost of a query.
@@ -172,6 +213,21 @@ func (w *SSB) opInstr(q ssbQuery) float64 {
 
 // NewQuery implements Workload: one SSB query fanning out to every
 // partition with a merge at a random coordinator.
+//
+// FIDELITY: SSB sampled execution.
+// Real: each partition op scans an ssbExecSampleRows-row window of its
+// lineorder orderdate column against the query's date range and probes
+// the replicated date dimension's hash index once per matching row
+// (scanProbe); every probe is checked to hit.
+// Modeled: the op's cost at full scale is Instr (opInstr: selectivity,
+// join count, and per-row scan cost of the query), which alone drives the
+// simulated engine and machine; the scanned rows and probe results feed
+// no simulated quantity.
+// Stream: generation draws the query, the date range, and the
+// coordinator from rng; each op draws its window start from the same rng
+// exactly once, when it executes. This is the stream every recorded SSB
+// figure and benchmark fingerprint was produced with, so it must not
+// change (TestSSBQueryRandomStream).
 func (w *SSB) NewQuery(rng *rand.Rand, parts int) []Op {
 	q := ssbQueries[rng.Intn(len(ssbQueries))]
 	if w.only != "" {
@@ -183,27 +239,21 @@ func (w *SSB) NewQuery(rng *rand.Rand, parts int) []Op {
 		}
 	}
 	instr := w.opInstr(q)
-	lo := rng.Intn(ssbDateRows - ssbDateRows/8)
-	pred := storage.Between(int64(lo), int64(lo+ssbDateRows/8))
+	lo := int64(rng.Intn(ssbDateRows - ssbDateRows/8))
+	hi := lo + ssbDateRows/8
+	// One closure serves every partition's op: it captures only the
+	// query's date range and the generator rng, from which each op draws
+	// its window start when it executes.
+	exec := func(st PartitionState) {
+		sp, ok := st.(*ssbPartition)
+		if !ok {
+			panic(fmt.Sprintf("workload: ssb op on foreign partition state %T", st))
+		}
+		sp.scanProbe(rng.Intn(sp.orderdate.Len()-ssbExecSampleRows), lo, hi)
+	}
 	ops := make([]Op, 0, parts+1)
 	for p := 0; p < parts; p++ {
-		ops = append(ops, Op{
-			Partition: p,
-			Instr:     instr,
-			Exec: func(st PartitionState) {
-				sp := st.(*ssbPartition)
-				// Sampled real scan window with a join probe per match.
-				od := sp.lineorder.Column("orderdate")
-				n := od.Len()
-				start := rng.Intn(n - ssbExecSampleRows)
-				for row := start; row < start+ssbExecSampleRows; row++ {
-					v := od.Get(row)
-					if pred(v) {
-						sp.date.LookupRow(v)
-					}
-				}
-			},
-		})
+		ops = append(ops, Op{Partition: p, Instr: instr, Exec: exec})
 	}
 	// Merge at the coordinator.
 	ops = append(ops, Op{

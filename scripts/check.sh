@@ -10,6 +10,7 @@
 #              §13), with stale-suppression detection
 #   tests      the short suite (the full figure sweep takes tens of
 #              minutes; heavy regenerators honor -short)
+#   perfbench  vet and short tests of the nested benchmark module
 #   race       the byte-identical determinism test under the race
 #              detector, proving the core is goroutine-free at runtime,
 #              plus the parallel-vs-sequential sweep byte-identity test,
@@ -45,6 +46,13 @@ go run ./cmd/ecllint -unused-directives ./internal/lint ./cmd/ecllint
 
 echo "== go test -short"
 go test -short -count=1 ./...
+
+echo "== perfbench module vet + short tests"
+# perfbench/ is its own module (ecldb/perfbench, replace ecldb => ../),
+# so the root ./... patterns above skip it. Its short tests are the
+# benchmark harness's self-checks: metric parsing, the fingerprint
+# check, the profile decoder, and the workload decorator.
+(cd perfbench && go vet ./... && go test -short -count=1 ./...)
 
 echo "== determinism under -race"
 go test -race -short -count=1 -run 'TestDeterminism' ./internal/sim
