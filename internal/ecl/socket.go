@@ -126,6 +126,18 @@ type SocketECL struct {
 	profile *energy.Profile
 	stats   RuntimeStats
 	idleCfg hw.Configuration
+	allMax  hw.Configuration
+
+	// Plan buffers. plan builds into planBuf; execute takes the built
+	// plan as segs and hands the previous segs buffer back as planBuf, so
+	// planning never writes into the plan whose transitions are still
+	// scheduled. cursor indexes the running segment of segs, and
+	// nextSegmentFn — s.nextSegment, bound once — is the body of every
+	// scheduled transition.
+	planBuf       []segment
+	segs          []segment
+	cursor        int
+	nextSegmentFn func()
 
 	// demand is the current performance-level demand in instructions/s.
 	demand units.Hertz
@@ -223,8 +235,10 @@ func NewSocketECL(p SocketParams, m *hw.Machine, clock *vtime.Clock, profile *en
 		clock:         clock,
 		profile:       profile,
 		idleCfg:       hw.NewConfiguration(m.Topology()),
+		allMax:        hw.AllMax(m.Topology()),
 		adaptAttempts: make(map[*energy.Entry]int),
 	}
+	s.nextSegmentFn = s.nextSegment
 	// Never-evaluated entries start on the adaptation queue.
 	s.adaptQueue = profile.Stale(0, time.Duration(1<<62))
 	return s
@@ -429,18 +443,19 @@ const provisionHeadroom = 1.1
 
 // plan builds the next interval: multiplexed adaptation windows first,
 // then either steady operation in the chosen configuration or race-to-idle
-// switching against the optimal-zone configuration.
+// switching against the optimal-zone configuration. The plan is built in
+// the socket's reused planning buffer, so it stays valid only until the
+// next plan call.
 func (s *SocketECL) plan(ttv time.Duration) []segment {
 	interval := s.p.Interval
-	var plan []segment
+	plan := s.planBuf[:0]
 
 	// Safety valve: under a sustained latency violation at full
 	// utilization, stop trusting the (possibly stale) profile ranking
 	// and ramp up everything. The all-max stretch is itself a
 	// measurement, so the profile's top end corrects first.
 	if s.violTicks >= 3 && s.lastUtil >= 0.98 {
-		all := hw.AllMax(s.machine.Topology())
-		cfg, capacity := all, s.profile.MaxScore()
+		cfg, capacity := s.allMax, s.profile.MaxScore()
 		if s.p.PowerCapW > 0 {
 			// Under a power cap the ramp-up stops at the fastest
 			// configuration that fits: the cap outranks the latency limit.
@@ -458,7 +473,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 				Type:   obs.EvSafetyValve,
 				Socket: s.p.Socket,
 				A:      float64(s.violTicks),
-				S:      cfg.Key(s.machine.Topology().ThreadsPerCore),
+				S:      s.machine.ConfigKey(cfg),
 			})
 		}
 		s.noteMode("safety")
@@ -466,7 +481,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 		if s.p.Maintenance != MaintainNone {
 			meas = s.profile.Lookup(cfg)
 		}
-		return []segment{{cfg: cfg, measure: meas, dur: interval}}
+		return append(plan, segment{cfg: cfg, measure: meas, dur: interval})
 	}
 
 	// Multiplexed adaptation windows. Each measurement is preceded by an
@@ -509,7 +524,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 	if entry == nil {
 		// Nothing evaluated yet: run everything at full throttle until
 		// the profile has substance.
-		plan = append(plan, segment{cfg: hw.AllMax(s.machine.Topology()), dur: remaining})
+		plan = append(plan, segment{cfg: s.allMax, dur: remaining})
 		s.rtiActive = false
 		s.lastCapacity = 0
 		s.noteMode("bootstrap")
@@ -638,11 +653,18 @@ func (s *SocketECL) rtiCycleLen(remaining, ttv time.Duration) time.Duration {
 	return want
 }
 
-// execute schedules the plan's configuration transitions on the clock.
+// execute runs the plan: the first segment begins now, and every later
+// one is scheduled at its start instant as one task running
+// nextSegmentFn. Segment durations are positive, so the deadlines
+// strictly increase along the plan and the tasks fire in plan order,
+// which keeps the cursor on the segment whose task fired. A superseding
+// Tick cancels the remaining tasks before it plans again.
 func (s *SocketECL) execute(now time.Duration, plan []segment) {
+	s.segs, s.planBuf = plan, s.segs[:0]
+	s.cursor = 0
 	t := now
-	for i, seg := range plan {
-		seg := seg
+	for i := range plan {
+		seg := &plan[i]
 		if s.eattr.Enabled() {
 			// Register the segment's control window ahead of execution.
 			// Settle windows are registered by hw.Machine.Apply itself;
@@ -658,18 +680,23 @@ func (s *SocketECL) execute(now time.Duration, plan []segment) {
 		if i == 0 {
 			s.beginSegment(now, seg)
 		} else {
-			at := t - now
-			s.pendingOps = append(s.pendingOps, s.clock.After(at, func() {
-				s.finishSegment(s.clock.Now())
-				s.beginSegment(s.clock.Now(), seg)
-			}))
+			s.pendingOps = append(s.pendingOps, s.clock.After(t-now, s.nextSegmentFn))
 		}
 		t += seg.dur
 	}
 }
 
+// nextSegment is the body of every scheduled segment transition: it
+// closes the running segment and begins the next one of the plan.
+func (s *SocketECL) nextSegment() {
+	s.cursor++
+	now := s.clock.Now()
+	s.finishSegment(now)
+	s.beginSegment(now, &s.segs[s.cursor])
+}
+
 // beginSegment applies a segment's configuration and snapshots counters.
-func (s *SocketECL) beginSegment(now time.Duration, seg segment) {
+func (s *SocketECL) beginSegment(now time.Duration, seg *segment) {
 	if err := s.machine.Apply(s.p.Socket, seg.cfg); err != nil {
 		panic(err) // profile configurations are validated at generation
 	}
@@ -796,7 +823,7 @@ func (s *SocketECL) record(entry *energy.Entry, dE units.Joule, dI, sec float64,
 			A:      power.Watts(),
 			B:      score.PerSecond(),
 			C:      drift,
-			S:      entry.Config.Key(s.machine.Topology().ThreadsPerCore),
+			S:      s.machine.ConfigKey(entry.Config),
 		})
 	}
 	if s.p.Maintenance == MaintainNone {

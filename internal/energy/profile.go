@@ -70,9 +70,14 @@ func (z Zone) String() string {
 // ECL and never shared across goroutines.
 type Profile struct {
 	entries []*Entry
-	byKey   map[string]*Entry
-	tpc     int // threads per core, for configuration keys
-	idle    *Entry
+	// active holds the non-idle entries in generation order: every
+	// configuration-selection scan skips the idle state, and filtering
+	// it once here keeps an idleness test out of the per-tick loops.
+	active []*Entry
+	byKey  map[string]*Entry
+	tpc    int    // threads per core, for configuration keys
+	keyBuf []byte // Lookup's reused key-formatting buffer
+	idle   *Entry
 }
 
 // NewProfile builds a profile over the given configurations. The first
@@ -81,14 +86,16 @@ type Profile struct {
 func NewProfile(topo hw.Topology, configs []hw.Configuration) *Profile {
 	p := &Profile{byKey: make(map[string]*Entry, len(configs)), tpc: topo.ThreadsPerCore}
 	for _, c := range configs {
-		key := c.Key(p.tpc)
-		if _, dup := p.byKey[key]; dup {
+		p.keyBuf = c.AppendKey(p.keyBuf[:0], p.tpc)
+		if _, dup := p.byKey[string(p.keyBuf)]; dup {
 			continue
 		}
 		e := &Entry{Config: c.Clone()}
-		p.byKey[key] = e
+		p.byKey[string(p.keyBuf)] = e
 		p.entries = append(p.entries, e)
-		if c.Idle() && p.idle == nil {
+		if !c.Idle() {
+			p.active = append(p.active, e)
+		} else if p.idle == nil {
 			p.idle = e
 		}
 	}
@@ -106,8 +113,11 @@ func (p *Profile) Entries() []*Entry { return p.entries }
 func (p *Profile) Idle() *Entry { return p.idle }
 
 // Lookup returns the entry matching the hardware state of cfg, or nil.
+// The key is formatted into a buffer the profile reuses, and indexing the
+// map with the converted bytes does not allocate.
 func (p *Profile) Lookup(cfg hw.Configuration) *Entry {
-	return p.byKey[cfg.Key(p.tpc)]
+	p.keyBuf = cfg.AppendKey(p.keyBuf[:0], p.tpc)
+	return p.byKey[string(p.keyBuf)]
 }
 
 // Update records a measurement for the configuration, smoothing into any
@@ -153,8 +163,8 @@ func (p *Profile) Update(cfg hw.Configuration, powerW units.Watt, score units.He
 // evaluated yet.
 func (p *Profile) MostEfficient() *Entry {
 	var best *Entry
-	for _, e := range p.entries {
-		if !e.Evaluated || e.Config.Idle() {
+	for _, e := range p.active {
+		if !e.Evaluated {
 			continue
 		}
 		if best == nil || e.Efficiency() > best.Efficiency() {
@@ -201,8 +211,8 @@ func (p *Profile) ZoneOf(e *Entry) Zone {
 // efficient than everything faster.
 func (p *Profile) Skyline() []*Entry {
 	var ev []*Entry
-	for _, e := range p.entries {
-		if e.Evaluated && !e.Config.Idle() {
+	for _, e := range p.active {
+		if e.Evaluated {
 			ev = append(ev, e)
 		}
 	}
@@ -247,8 +257,8 @@ func (p *Profile) Skyline() []*Entry {
 // evaluated.
 func (p *Profile) ForPerformance(demand units.Hertz) *Entry {
 	var best, fastest *Entry
-	for _, e := range p.entries {
-		if !e.Evaluated || e.Config.Idle() {
+	for _, e := range p.active {
+		if !e.Evaluated {
 			continue
 		}
 		if fastest == nil || e.Score > fastest.Score {
@@ -277,8 +287,8 @@ func (p *Profile) ForPerformanceCapped(demand units.Hertz, capW units.Watt) *Ent
 		return p.ForPerformance(demand)
 	}
 	var best, fastest, coolest *Entry
-	for _, e := range p.entries {
-		if !e.Evaluated || e.Config.Idle() {
+	for _, e := range p.active {
+		if !e.Evaluated {
 			continue
 		}
 		if coolest == nil || e.PowerW < coolest.PowerW {
@@ -313,8 +323,8 @@ func (p *Profile) MostEfficientCapped(capW units.Watt) *Entry {
 		return p.MostEfficient()
 	}
 	var best *Entry
-	for _, e := range p.entries {
-		if !e.Evaluated || e.Config.Idle() || e.PowerW > capW {
+	for _, e := range p.active {
+		if !e.Evaluated || e.PowerW > capW {
 			continue
 		}
 		if best == nil || e.Efficiency() > best.Efficiency() {
@@ -329,10 +339,7 @@ func (p *Profile) MostEfficientCapped(capW units.Watt) *Entry {
 // therefore marks the whole profile stale (a full re-adaptation).
 func (p *Profile) Stale(now time.Duration, maxAge time.Duration) []*Entry {
 	var out []*Entry
-	for _, e := range p.entries {
-		if e.Config.Idle() {
-			continue
-		}
+	for _, e := range p.active {
 		if !e.Evaluated || now-e.LastEval >= maxAge {
 			out = append(out, e)
 		}
@@ -351,8 +358,8 @@ func (p *Profile) RescaleStale(now, maxAge time.Duration, scoreRatio, powerRatio
 	if scoreRatio <= 0 || powerRatio <= 0 {
 		return
 	}
-	for _, e := range p.entries {
-		if !e.Evaluated || e.Config.Idle() {
+	for _, e := range p.active {
+		if !e.Evaluated {
 			continue
 		}
 		if now-e.LastEval >= maxAge {

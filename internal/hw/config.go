@@ -2,6 +2,8 @@ package hw
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -181,30 +183,50 @@ func (c Configuration) Equal(o Configuration, threadsPerCore int) bool {
 	return true
 }
 
+// Identical reports whether two configurations hold the same values.
+// Unlike Equal it compares the clocks of inactive cores too, so it
+// answers whether one can stand in for the other byte for byte.
+func (c Configuration) Identical(o Configuration) bool {
+	return c.UncoreMHz == o.UncoreMHz && slices.Equal(c.CoreMHz, o.CoreMHz) && slices.Equal(c.Threads, o.Threads)
+}
+
 // Key returns a canonical string identifying the hardware state, usable as
-// a map key. Clocks of inactive cores are normalized out.
+// a map key. Clocks of inactive cores are normalized out. Hot callers use
+// Machine.ConfigKey, which interns the string instead of allocating it.
 func (c Configuration) Key(threadsPerCore int) string {
-	var b strings.Builder
+	return string(c.AppendKey(nil, threadsPerCore))
+}
+
+// AppendKey appends the bytes of Key to dst and returns the extended
+// buffer: one thread bit per slot, a slash, the comma-separated clocks of
+// the cores ("-" for a core without active threads), a slash, and the
+// uncore clock — e.g. "110000/2600,-,-/1200".
+func (c Configuration) AppendKey(dst []byte, threadsPerCore int) []byte {
 	for _, a := range c.Threads {
+		bit := byte('0')
 		if a {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
+			bit = '1'
 		}
+		//ecllint:allow hotpath growth of the caller's buffer; Machine.ConfigKey reuses one scratch buffer, so only its first call grows it
+		dst = append(dst, bit)
 	}
-	b.WriteByte('/')
+	//ecllint:allow hotpath growth of the caller's buffer, as above
+	dst = append(dst, '/')
 	for core, f := range c.CoreMHz {
 		if core > 0 {
-			b.WriteByte(',')
+			//ecllint:allow hotpath growth of the caller's buffer, as above
+			dst = append(dst, ',')
 		}
 		if c.CoreActive(core, threadsPerCore) {
-			fmt.Fprintf(&b, "%d", f)
+			dst = strconv.AppendInt(dst, int64(f), 10)
 		} else {
-			b.WriteByte('-')
+			//ecllint:allow hotpath growth of the caller's buffer, as above
+			dst = append(dst, '-')
 		}
 	}
-	fmt.Fprintf(&b, "/%d", c.UncoreMHz)
-	return b.String()
+	//ecllint:allow hotpath growth of the caller's buffer, as above
+	dst = append(dst, '/')
+	return strconv.AppendInt(dst, int64(c.UncoreMHz), 10)
 }
 
 // String renders a compact human-readable form, e.g.

@@ -55,8 +55,15 @@ type Machine struct {
 	fw   *firmware
 	seed uint64
 
-	now       time.Duration
+	now time.Duration
+	// requested and pending[].cfg own per-socket buffers: Apply copies
+	// into the pending buffer and Step promotes it by swapping the two,
+	// so a reconfiguration never allocates and no buffer handed to one
+	// socket state is written through the other (DESIGN.md §11). Each
+	// buffer carries its interned key (reqKey, pending[].key; "" until
+	// first needed), which travels with it through the swap.
 	requested []Configuration
+	reqKey    []string
 	pending   []pendingApply
 
 	pkg   []raplCounter
@@ -91,6 +98,11 @@ type Machine struct {
 	stretchDramW       []units.Watt
 	linearBoundaryScan bool
 
+	// Configuration-key interning (see ConfigKey): keyBuf is the reused
+	// formatting buffer, keys maps each formatted key to its one string.
+	keyBuf []byte
+	keys   map[string]string
+
 	// Observability (nil when disabled; see internal/obs).
 	obsLog     *obs.Log
 	obsApplies []*obs.Counter // per socket
@@ -108,6 +120,7 @@ type Machine struct {
 
 type pendingApply struct {
 	cfg   Configuration
+	key   string // cfg's interned key, or "" when not yet formatted
 	at    time.Duration
 	valid bool
 }
@@ -124,6 +137,7 @@ func NewMachine(topo Topology, pp PowerParams, seed int64) *Machine {
 		fw:          newFirmware(topo),
 		seed:        uint64(seed)*0x9e3779b97f4a7c15 + 0x1234567,
 		requested:   make([]Configuration, topo.Sockets),
+		reqKey:      make([]string, topo.Sockets),
 		pending:     make([]pendingApply, topo.Sockets),
 		instr:       make([]float64, topo.TotalThreads()),
 		pkg:         make([]raplCounter, topo.Sockets),
@@ -136,6 +150,7 @@ func NewMachine(topo Topology, pp PowerParams, seed int64) *Machine {
 		effCache:    make([]Configuration, topo.Sockets),
 		effEpoch:    make([]uint64, topo.Sockets),
 		effValid:    make([]bool, topo.Sockets),
+		keys:        make(map[string]string),
 	}
 	m.stretchPkgW = make([]units.Watt, topo.Sockets)
 	m.stretchDramW = make([]units.Watt, topo.Sockets)
@@ -143,6 +158,7 @@ func NewMachine(topo Topology, pp PowerParams, seed int64) *Machine {
 	m.idleSec = make([]float64, topo.Sockets)
 	for s := 0; s < topo.Sockets; s++ {
 		m.requested[s] = NewConfiguration(topo)
+		m.pending[s].cfg = NewConfiguration(topo)
 		m.turboBudget[s] = pp.TurboBudgetJ
 		m.throttle[s] = 1
 		m.effCache[s] = NewConfiguration(topo)
@@ -212,15 +228,30 @@ func (m *Machine) Apply(socket int, cfg Configuration) error {
 	if err := cfg.Validate(m.topo); err != nil {
 		return err
 	}
-	m.pending[socket] = pendingApply{cfg: cfg.Clone(), at: m.now + ApplyLatency, valid: true}
+	// After a promotion the pending buffer still holds the configuration
+	// requested before the promoted one, so a race-to-idle socket
+	// alternating between two configurations finds the bytes — and the
+	// key — already in place.
+	p := &m.pending[socket]
+	if !p.cfg.Identical(cfg) {
+		copy(p.cfg.Threads, cfg.Threads)
+		copy(p.cfg.CoreMHz, cfg.CoreMHz)
+		p.cfg.UncoreMHz = cfg.UncoreMHz
+		p.key = ""
+	}
+	p.at, p.valid = m.now+ApplyLatency, true
 	m.fw.noteRequest(socket, cfg, m.now)
 	m.epoch[socket]++
+	if p.key == "" && (m.eattr.Enabled() || m.obsLog.Enabled()) {
+		p.key = m.ConfigKey(cfg)
+	}
+	key := p.key
 	if m.eattr.Enabled() {
 		// A superseding Apply drops the pending configuration, so its
 		// unelapsed settle window must go too before this one registers.
 		m.eattr.CancelFrom(socket, energyattr.KindSettle, m.now)
 		m.eattr.AddWindow(socket, energyattr.KindSettle, m.now, m.now+ApplyLatency)
-		m.eattr.NoteReconfig(socket, cfg.Key(m.topo.ThreadsPerCore), m.now)
+		m.eattr.NoteReconfig(socket, key, m.now)
 	}
 	if m.tracer.Enabled() {
 		// The settle window is the hardware-level wake/transition latency
@@ -240,13 +271,37 @@ func (m *Machine) Apply(socket int, cfg Configuration) error {
 			Socket: socket,
 			A:      ApplyLatency.Seconds(),
 			B:      float64(cfg.ActiveThreads()),
-			S:      cfg.Key(m.topo.ThreadsPerCore),
+			S:      key,
 		})
 	}
 	if socket < len(m.obsApplies) {
 		m.obsApplies[socket].Inc()
 	}
 	return nil
+}
+
+// ConfigKey returns cfg.Key for the machine's topology, interned: the key
+// is formatted into a reused scratch buffer and looked up in a table of
+// the strings returned so far, so repeated configurations — every
+// race-to-idle cycle re-applies the same two — share one string and cost
+// no allocation. A configuration seen for the first time allocates its
+// string once.
+//
+//ecllint:hotpath runs on every observed reconfiguration and kernel refresh
+func (m *Machine) ConfigKey(cfg Configuration) string {
+	m.keyBuf = cfg.AppendKey(m.keyBuf[:0], m.topo.ThreadsPerCore)
+	if k, ok := m.keys[string(m.keyBuf)]; ok {
+		return k
+	}
+	//ecllint:allow hotpath intern miss, one allocation per distinct configuration; the hit path above allocates nothing
+	return m.internKey()
+}
+
+// internKey adds the key in keyBuf to the intern table.
+func (m *Machine) internKey() string {
+	k := string(m.keyBuf)
+	m.keys[k] = k
+	return k
 }
 
 // Requested returns the most recently requested configuration of a socket
@@ -409,7 +464,10 @@ func (m *Machine) Step(dt time.Duration, acts []SocketActivity) {
 				continue
 			}
 			if p.at <= m.now {
-				m.requested[s] = p.cfg
+				// Swap rather than assign: the old requested buffers
+				// become the next Apply's pending buffers.
+				m.requested[s], p.cfg = p.cfg, m.requested[s]
+				m.reqKey[s], p.key = p.key, m.reqKey[s]
 				p.valid = false
 				m.epoch[s]++
 			} else if p.at < segEnd {

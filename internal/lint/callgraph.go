@@ -23,8 +23,10 @@ import (
 // does not survive package boundaries — a function type-checked from
 // source in its own unit and the same function seen through export data
 // from an importing unit are distinct objects — so nodes and edges key
-// on the fully qualified name instead.
-func funcKey(fn *types.Func) any { return "func " + fn.FullName() }
+// on the fully qualified name instead. A call into a generic function or
+// method names an instantiation (List[Event].Append); Origin maps it back
+// to the declaration, the only node with a body.
+func funcKey(fn *types.Func) any { return "func " + fn.Origin().FullName() }
 
 // A graphNode is one function in the call graph: a declared function or
 // method, or a function literal. Literals are nodes of their own — a

@@ -1,7 +1,7 @@
 // Package bad exercises the hotpath analyzer: one annotated root, every
 // allocation class, reachability through static calls, interface
-// dispatch, and function values, plus the two suppression forms (finding
-// suppression and call-edge cutting).
+// dispatch, function values, and calls into generic code, plus the two
+// suppression forms (finding suppression and call-edge cutting).
 package bad
 
 import "fmt"
@@ -46,6 +46,8 @@ func Step(s *state, w Worker, n int) int {
 	fmt.Sprintln()               // want "fmt.Sprintln allocates"
 	helper(s)
 	hook()
+	var st stack[int]
+	st.push(n)
 	//ecllint:allow hotpath warmup runs once before the steady state begins
 	coldStart(s)
 	_, _, _ = p, xs, label
@@ -56,6 +58,14 @@ func Step(s *state, w Worker, n int) int {
 func helper(s *state) {
 	m := map[string]int{} // want "slice/map literal allocates"
 	m[s.name] = 1
+}
+
+// stack is generic: the hot call names the instantiation stack[int], and
+// the analyzer must still reach the declaration's body.
+type stack[T any] struct{ items []T }
+
+func (s *stack[T]) push(v T) {
+	s.items = append(s.items, v) // want "append may grow its backing array"
 }
 
 // sink's interface parameter forces boxing at the call site; its own

@@ -55,6 +55,7 @@ import (
 	"math"
 	"time"
 
+	"ecldb/internal/obs/chunked"
 	"ecldb/internal/units"
 )
 
@@ -196,7 +197,7 @@ type Meter struct {
 	socks   []socketState
 	classes []ClassStats
 	spans   []EnergySpan
-	ledger  []Reconfig
+	ledger  chunked.List[Reconfig]
 	hist    [histBuckets]uint64
 	histN   uint64
 }
@@ -470,7 +471,7 @@ func (m *Meter) closeOpen(s *socketState, socket int, at time.Duration) {
 	if !s.open {
 		return
 	}
-	m.ledger = append(m.ledger, Reconfig{
+	m.ledger.Append(Reconfig{
 		Socket:    socket,
 		Key:       s.openKey,
 		Start:     s.openStart,
@@ -492,12 +493,13 @@ func (m *Meter) CloseLedger(at time.Duration) {
 	}
 }
 
-// Ledger returns the closed reconfiguration records in event order.
+// Ledger returns the closed reconfiguration records in event order, as a
+// fresh copy.
 func (m *Meter) Ledger() []Reconfig {
 	if m == nil {
 		return nil
 	}
-	return m.ledger
+	return m.ledger.Slice()
 }
 
 // ClassIndex finds or adds a workload class and returns its index. It is
@@ -790,7 +792,7 @@ func (m *Meter) Snapshot() *Meter {
 		socks:   append([]socketState(nil), m.socks...),
 		classes: append([]ClassStats(nil), m.classes...),
 		spans:   append([]EnergySpan(nil), m.spans...),
-		ledger:  append([]Reconfig(nil), m.ledger...),
+		ledger:  m.ledger.Clone(),
 		hist:    m.hist,
 		histN:   m.histN,
 	}

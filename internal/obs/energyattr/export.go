@@ -108,8 +108,8 @@ func (m *Meter) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	for i := range m.ledger {
-		r := &m.ledger[i]
+	for i := 0; i < m.ledger.Len(); i++ {
+		r := m.ledger.At(i)
 		buf = append(buf, `{"type":"reconfig","socket":`...)
 		buf = strconv.AppendInt(buf, int64(r.Socket), 10)
 		buf = append(buf, `,"key":`...)
@@ -204,11 +204,11 @@ func (m *Meter) Report() string {
 		fmt.Fprintf(&b, "\nper-query energy (n=%d): p50 %.6g J  p95 %.6g J  p99 %.6g J\n",
 			m.histN, m.Quantile(0.50).Joules(), m.Quantile(0.95).Joules(), m.Quantile(0.99).Joules())
 	}
-	if n := len(m.ledger); n > 0 {
+	if n := m.ledger.Len(); n > 0 {
 		fmt.Fprintf(&b, "\naudit ledger (%d reconfigurations, last %d shown):\n", n, minInt(n, 8))
 		fmt.Fprintf(&b, "%-6s %-26s %12s %12s %12s %12s\n",
 			"socket", "config", "from", "to", "measured", "baseline")
-		for _, r := range m.ledger[n-minInt(n, 8):] {
+		for _, r := range m.ledger.AppendRange(nil, n-minInt(n, 8), n) {
 			fmt.Fprintf(&b, "%-6d %-26s %12s %12s %11.2fJ %11.2fJ\n",
 				r.Socket, r.Key, fmtDur(r.Start), fmtDur(r.End),
 				r.MeasuredJ.Joules(), r.BaselineJ.Joules())

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"ecldb/internal/obs/chunked"
 )
 
 // Log is the decision event sink: an optionally bounded ring buffer plus
@@ -17,7 +19,7 @@ import (
 // explain report's summary lines, the facade's Events map) never loses
 // information to capacity limits.
 type Log struct {
-	events []Event
+	events chunked.List[Event]
 	// start indexes the oldest event once the ring has wrapped.
 	start   int
 	wrapped bool
@@ -87,9 +89,9 @@ func (l *Log) Emit(e Event) {
 		}
 	}
 	l.buffered++
-	if l.cap > 0 && len(l.events) >= l.cap {
+	if l.cap > 0 && l.events.Len() >= l.cap {
 		// Overwrite the oldest slot.
-		l.events[l.start] = e
+		*l.events.At(l.start) = e
 		l.start++
 		if l.start == l.cap {
 			l.start = 0
@@ -98,8 +100,7 @@ func (l *Log) Emit(e Event) {
 		l.dropped++
 		return
 	}
-	//ecllint:allow hotpath amortized ring growth, bounded by the configured capacity
-	l.events = append(l.events, e)
+	l.events.Append(e)
 }
 
 // Len returns the number of buffered events.
@@ -107,7 +108,7 @@ func (l *Log) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.events)
+	return l.events.Len()
 }
 
 // Count returns the exact number of emissions of type t, independent of
@@ -155,17 +156,15 @@ func (l *Log) Dropped() uint64 {
 // Events returns the buffered events oldest-first. The returned slice is
 // freshly allocated; mutating it does not affect the log.
 func (l *Log) Events() []Event {
-	if l == nil || len(l.events) == 0 {
+	if l == nil || l.events.Len() == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(l.events))
-	if l.wrapped {
-		out = append(out, l.events[l.start:]...)
-		out = append(out, l.events[:l.start]...)
-	} else {
-		out = append(out, l.events...)
+	if !l.wrapped {
+		return l.events.Slice()
 	}
-	return out
+	n := l.events.Len()
+	out := l.events.AppendRange(make([]Event, 0, n), l.start, n)
+	return l.events.AppendRange(out, 0, l.start)
 }
 
 // WriteJSONL writes the buffered events oldest-first, one JSON object per
@@ -200,21 +199,13 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 		_, err := w.Write(buf)
 		return err
 	}
+	n := l.events.Len()
+	first := 0
 	if l.wrapped {
-		for _, e := range l.events[l.start:] {
-			if err := writeOne(e); err != nil {
-				return err
-			}
-		}
-		for _, e := range l.events[:l.start] {
-			if err := writeOne(e); err != nil {
-				return err
-			}
-		}
-		return nil
+		first = l.start
 	}
-	for _, e := range l.events {
-		if err := writeOne(e); err != nil {
+	for i := 0; i < n; i++ {
+		if err := writeOne(*l.events.At((first + i) % n)); err != nil {
 			return err
 		}
 	}

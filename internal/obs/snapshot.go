@@ -59,7 +59,7 @@ func (l *Log) Snapshot() *Log {
 		return nil
 	}
 	c := *l
-	c.events = append([]Event(nil), l.events...)
+	c.events = l.events.Clone()
 	return &c
 }
 

@@ -591,11 +591,16 @@ func (s *Sim) LoadProfiles(r io.Reader) error {
 // the Key/String renderings used for Table 1 config-time accounting. A
 // kernel stays valid while the composite (hw.Machine.StateEpoch,
 // dodb.Engine.CharacteristicsEpoch) pair is unchanged, turning the
-// per-quantum cost into two integer compares.
+// per-quantum cost into two integer compares. cfg and throttle record
+// the inputs the kernel was derived from, so an epoch movement that
+// changed neither (a re-apply of the running configuration) costs a
+// comparison instead of a recomputation.
 type stepKernel struct {
 	valid    bool
 	cfgEpoch uint64
 	chEpoch  uint64
+	cfg      hw.Configuration
+	throttle float64
 	idle     bool
 	active   []bool
 	budget   []float64 // PerThread[lt] * Quantum seconds
@@ -620,6 +625,7 @@ func (s *Sim) initKernels() {
 		k.budget = make([]float64, n)
 		k.fGHz = make([]float64, n)
 		k.caps = perfmodel.Capacity{PerThread: make([]float64, n)}
+		k.cfg = hw.NewConfiguration(s.topo)
 		s.kernActive[sock] = k.active
 	}
 	if s.bufBudget == nil {
@@ -659,10 +665,20 @@ func (s *Sim) kernelFor(sock int) *stepKernel {
 // the kernel exists, so epoch churn (e.g. auto-UFS decay bumping the
 // clock every quantum) cannot regress the step loop's allocation budget.
 func (s *Sim) refreshKernel(sock int, k *stepKernel, ce, we uint64) {
-	s.flushConfigTime(k)
 	eff := s.machine.EffectiveView(sock)
+	throttle := s.machine.ThrottleFactor(sock)
+	if k.valid && k.chEpoch == we && k.throttle == throttle && k.cfg.Identical(*eff) {
+		// Every input is unchanged, so is every derived value; the
+		// batched config time keeps accruing under the same key.
+		k.cfgEpoch = ce
+		return
+	}
+	s.flushConfigTime(k)
+	copy(k.cfg.Threads, eff.Threads)
+	copy(k.cfg.CoreMHz, eff.CoreMHz)
+	k.cfg.UncoreMHz, k.throttle = eff.UncoreMHz, throttle
 	ch := s.engine.SocketCharacteristics(sock)
-	k.caps = perfmodel.SocketCapacityInto(k.caps.PerThread, s.topo, *eff, ch, s.machine.ThrottleFactor(sock))
+	k.caps = perfmodel.SocketCapacityInto(k.caps.PerThread, s.topo, *eff, ch, throttle)
 	qs := s.opts.Quantum.Seconds()
 	n := s.topo.ThreadsPerSocket()
 	for lt := 0; lt < n; lt++ {
@@ -673,7 +689,7 @@ func (s *Sim) refreshKernel(sock int, k *stepKernel, ce, we uint64) {
 	k.idle = eff.Idle()
 	k.key = ""
 	if s.controller != nil && !k.idle {
-		k.key = eff.Key(s.topo.ThreadsPerCore)
+		k.key = s.machine.ConfigKey(*eff)
 		if _, ok := s.configName[k.key]; !ok {
 			s.configName[k.key] = eff.String()
 		}
@@ -1203,7 +1219,7 @@ func (s *Sim) stepNaive(q time.Duration) {
 		// Track applied-configuration time for Table 1's "best
 		// configuration" column.
 		if s.controller != nil && !eff.Idle() {
-			key := eff.Key(s.topo.ThreadsPerCore)
+			key := s.machine.ConfigKey(eff)
 			s.configTime[key] += q
 			// Render the display name only on first sighting of a key:
 			// it is a pure function of the key, so re-rendering it

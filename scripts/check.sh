@@ -89,8 +89,9 @@ echo "== energy attribution under -race"
 # tests run — behavior neutrality (digest identical with the meter on
 # or off), determinism of its exports, a positive energy-saved signal
 # with a coherent audit ledger, and the zero-alloc steady-state accrual
-# proofs — plus the package unit tests.
-go test -race -count=1 -run 'TestEnergyAttr' ./internal/sim
+# proofs, and the allocation bound of a metered zero-load race-to-idle
+# run — plus the package unit tests.
+go test -race -count=1 -run 'TestEnergyAttr|TestIdleECLAllocationBound' ./internal/sim
 go test -race -count=1 ./internal/obs/energyattr
 
 echo "== digest re-lock semantic check"
