@@ -275,9 +275,10 @@ func BenchmarkAppendixProfiles(b *testing.B) {
 func BenchmarkTable1RowSingleRun(b *testing.B) { benchTable1Row(b, false) }
 
 // BenchmarkTable1RowSingleRunNoMemo is the reference point: the same
-// sequential Table 1 cell with the kernel cache and macro-stepping
-// disabled (the eclsim -nomemo path). Results are byte-identical to the
-// cached path — only the wall time differs.
+// sequential Table 1 cell on the reference step path (the eclsim -nomemo
+// path: plain quantum walk, no kernel cache, per-quantum integration).
+// The twitter profile never engages closed-form integration, so results
+// are byte-identical to the production path — only the wall time differs.
 func BenchmarkTable1RowSingleRunNoMemo(b *testing.B) { benchTable1Row(b, true) }
 
 // BenchmarkTable1RowSingleRunAttr is the same cell with the energy

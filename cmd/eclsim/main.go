@@ -183,8 +183,7 @@ func main() {
 	csvPrefix := flag.String("csv", "", "custom run: write per-governor trace CSVs to <prefix>-<governor>.csv")
 	capW := flag.Float64("cap", 0, "custom run: per-socket power cap in W for the ECL (0 = none)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for multi-run sweeps (<1 = GOMAXPROCS); results are identical at any setting")
-	nomemo := flag.Bool("nomemo", false, "take the naive reference step path (no epoch-keyed kernel cache, no macro-stepping); results are identical, just slower")
-	nobatch := flag.Bool("nobatch", false, "per-quantum reference float grouping (no closed-form stretch integration); integer observables are identical, float energies differ only in summation grouping (DESIGN.md §16)")
+	nomemo := flag.Bool("nomemo", false, "take the reference step path (plain quantum walk, no kernel cache, per-quantum power integration); integer observables are identical, float energies differ only in summation grouping (DESIGN.md §16), and runs are slower")
 	runLen := flag.Duration("len", 0, "override the experiment length for -fig 13/14/15 and -table 1 (0 = the figure's default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -199,7 +198,6 @@ func main() {
 	flag.Parse()
 	bench.SetParallelism(*parallel)
 	sim.SetNaiveStep(*nomemo)
-	sim.SetBatchOff(*nobatch)
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	exitOn(err)
 	defer stopProfiles()

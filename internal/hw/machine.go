@@ -90,13 +90,10 @@ type Machine struct {
 	effEpoch []uint64
 	effValid []bool
 
-	// StepStretch scratch (per-socket powers computed during the guard
-	// phase, committed only when every guard passes) and the verification
-	// hook that makes the closed-form boundary-index computation walk
-	// indices one at a time instead.
-	stretchPkgW        []units.Watt
-	stretchDramW       []units.Watt
-	linearBoundaryScan bool
+	// StepStretch scratch: per-socket powers computed during the guard
+	// phase, committed only when every guard passes.
+	stretchPkgW  []units.Watt
+	stretchDramW []units.Watt
 
 	// Configuration-key interning (see ConfigKey): keyBuf is the reused
 	// formatting buffer, keys maps each formatted key to its one string.
@@ -592,8 +589,8 @@ func (m *Machine) StepStretch(n int, q time.Duration, acts []SocketActivity) int
 			m.turboBudget[s] = m.pp.TurboBudgetJ.Min(m.turboBudget[s] + (tdp - pkgW).Over(dt).Scale(0.5))
 		}
 		m.lastPkgW[s], m.lastDramW[s] = pkgW, dramW
-		m.pkg[s].integrateStretch(m.now, dt, pkgW, m.boundarySalt(s, DomainPackage), m.linearBoundaryScan)
-		m.dram[s].integrateStretch(m.now, dt, dramW, m.boundarySalt(s, DomainDRAM), m.linearBoundaryScan)
+		m.pkg[s].integrateStretch(m.now, dt, pkgW, m.boundarySalt(s, DomainPackage))
+		m.dram[s].integrateStretch(m.now, dt, dramW, m.boundarySalt(s, DomainDRAM))
 		m.eattr.Accrue(s, pkgW, dramW, dt)
 		totalW += pkgW + dramW
 		for lt, instr := range acts[s].Instr {
@@ -605,14 +602,6 @@ func (m *Machine) StepStretch(n int, q time.Duration, acts []SocketActivity) int
 	m.now = end
 	return n
 }
-
-// SetBoundaryScanLinear is a verification hook: with it on, StepStretch
-// locates the last RAPL refresh boundary of a stretch by walking indices
-// one at a time instead of computing the index directly from the refresh
-// period. Both scans must produce bit-identical machines — the step-path
-// identity matrix proves it — so the direct computation is never trusted
-// on its own.
-func (m *Machine) SetBoundaryScanLinear(on bool) { m.linearBoundaryScan = on }
 
 // integrate accounts one constant-state segment of length seg; fullStep is
 // the Step length used to prorate the per-step activity totals.
@@ -819,22 +808,15 @@ func (r *raplCounter) integrate(t0, seg time.Duration, powerW units.Watt, salt u
 // in one closed step: trueJ gains a single powerW·dt term (where n
 // per-quantum integrate calls would each add powerW·q — the float
 // regrouping the digest re-lock covers), and the snapshot state jumps
-// straight to the last refresh boundary inside the window. With
-// linearScan the boundary index is found by walking forward one boundary
-// at a time (the reference the direct computation is verified against);
-// both produce bit-identical counters because only the last boundary's
-// snapshot survives a window either way.
-func (r *raplCounter) integrateStretch(t0, dt time.Duration, powerW units.Watt, salt uint64, linearScan bool) {
+// straight to the last refresh boundary inside the window, found by
+// lastBoundaryAtOrBefore. Only the last boundary's snapshot survives a
+// window, so this matches walking the boundaries one at a time
+// (TestLastBoundaryAtOrBeforeMatchesLinearWalk checks the index).
+func (r *raplCounter) integrateStretch(t0, dt time.Duration, powerW units.Watt, salt uint64) {
 	end := t0 + dt
 	last := r.nextIdx - 1
-	if linearScan {
-		for boundaryTime(last+1, salt) <= end {
-			last++
-		}
-	} else {
-		if k := lastBoundaryAtOrBefore(end, salt); k > last {
-			last = k
-		}
+	if k := lastBoundaryAtOrBefore(end, salt); k > last {
+		last = k
 	}
 	if last >= r.nextIdx {
 		if b := boundaryTime(last, salt); b > t0 {

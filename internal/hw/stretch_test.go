@@ -52,8 +52,8 @@ func TestBoundaryTimeJitterBounded(t *testing.T) {
 
 // TestLastBoundaryAtOrBeforeMatchesLinearWalk checks the closed-form
 // index computation against the obvious linear walk from index zero, over
-// random window ends and salts — the same reference SetBoundaryScanLinear
-// wires into whole machines for the step-path identity matrix.
+// random window ends and salts. This is the layer-local proof of the
+// direct computation StepStretch trusts.
 func TestLastBoundaryAtOrBeforeMatchesLinearWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 2000; trial++ {

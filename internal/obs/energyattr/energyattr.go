@@ -22,8 +22,8 @@
 //	attributed(queries) + attributed(control) + residual == integrated
 //
 // holds to the last bit per socket per domain, by construction, with no
-// float regrouping to argue about. TestStepPathsByteIdentical asserts
-// both halves across the full step-path matrix.
+// float regrouping to argue about. internal/sim's
+// TestStepPathsMatchReference asserts both halves on both step paths.
 //
 // Attribution model. Each settle span (one machine step: a quantum, or a
 // closed-form stretch of n quanta) splits the span's pending joules by

@@ -11,11 +11,9 @@ import "time"
 //   - Volatile events are owned by other subsystems that already index
 //     them — the virtual clock's task deadlines (control-loop ticks) and
 //     the machine's configuration settle expiries — or are discovered by
-//     scanning the load profile (admission edges). The planner min-merges
-//     them with the queue's head instead of mirroring them into the queue,
-//     so no state is duplicated; discovered admission edges are pushed as
-//     evAdmission so the queue remains the single arbiter of "what happens
-//     next".
+//     scanning the load profile (admission edges). The stretch planner
+//     min-merges them with the stretch horizon instead of mirroring them
+//     into the queue, so no state is duplicated.
 //
 // Worker wakeups, query completions, and message deliveries are *not*
 // scheduled individually: they happen inside active quanta, which the
@@ -32,9 +30,6 @@ const (
 	evSample
 	// evSwitch marks the scheduled workload switch (Options.SwitchAt).
 	evSwitch
-	// evAdmission marks the next instant the load profile offers nonzero
-	// load after a zero stretch, discovered by the fast-forward planner.
-	evAdmission
 )
 
 // event is one scheduled occurrence. Nodes are pooled on the queue's

@@ -8,24 +8,25 @@ import (
 	"ecldb/internal/units"
 )
 
-// This file holds the discrete-event run loop: instead of inspecting
-// every 1 ms quantum for boundaries (sample due? switch due? idle window
+// This file holds the production run loop: instead of inspecting every
+// 1 ms quantum for boundaries (sample due? switch due? quiescent window
 // ahead?), the loop pops the next scheduled event from a deterministic
-// priority queue and jumps the simulation to it. Quanta between events
-// fall into two classes:
+// priority queue and advances the simulation to it. Quanta between
+// events fall into two classes:
 //
 //   - Active quanta (queries in flight, load offered, or workers carrying
-//     debt) run the full per-quantum body — identical, statement for
-//     statement, to the quantum loop's.
+//     debt) run the full per-quantum body through the step kernel cache
+//     (stepCached).
 //   - Quiescent stretches (engine empty, zero offered load) fast-forward:
-//     idle sockets skip the engine entirely (the existing macro-step), and
-//     active-but-workless sockets run Engine.IdleQuantum plus a constant
-//     activity set, replicating the full path's per-quantum arithmetic
-//     without its hub and budget scans.
+//     when every socket is idle, macroStep skips the engine entirely;
+//     otherwise stretchStep runs Engine.IdleQuantum/IdleStretch under a
+//     constant spin-only activity set. Both integrate the machine in
+//     closed form (hw.Machine.StepStretch) when its guards hold.
 //
-// Either way the machine integrates quantum by quantum with the same
-// float grouping, so results are bit-identical to the quantum loop
-// (TestStepPathsByteIdentical proves it across all path combinations).
+// Integer observables are identical to the reference walk (runQuanta);
+// the closed-form integration regroups float sums, so energies agree
+// within 1e-9 relative (DESIGN.md §16). TestStepPathsMatchReference
+// compares the two paths end to end.
 
 // gridCeil rounds an instant up to the quantum grid: the profile time of
 // the first run-loop iteration at or after x. Duration division is exact
@@ -97,11 +98,6 @@ func (s *Sim) runEvents(dur time.Duration) error {
 				hook.OnSample(s.clock.Now())
 			}
 			eq.push(at+s.opts.SampleEvery, evSample)
-		case evAdmission:
-			// Pushed by the stretch planner when it discovers the next
-			// nonzero-load instant; by the time it pops, advanceTo has
-			// already ground through it. It exists so the queue remains
-			// the arbiter of every scheduled occurrence.
 		}
 	}
 }
@@ -148,17 +144,16 @@ func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) 
 // returns how many consecutive quanta are provably workless (engine
 // quiescent, zero offered load throughout) and whether every socket is
 // also configured idle (licensing the engine-skipping macro-step instead
-// of the IdleQuantum stretch). 0 or 1 means "grind". The bounds mirror
-// macroQuantaFrom's: a pending workload switch caps the span, a clock
-// task deadline D allows the last quantum to at most end at D, and — for
-// the idle macro only, where no per-quantum epoch check runs — a pending
+// of the IdleQuantum stretch). 0 or 1 means "grind". A pending workload
+// switch caps the span, and a clock task deadline D allows the last
+// quantum to at most end at D: the task may mutate any state, and one
+// landing exactly on the window's end fires from the final clock advance
+// with the machine in the state the per-quantum walk would leave. For
+// the idle macro only, where no per-quantum epoch check runs, a pending
 // settle at instant A keeps quantum starts before A. The active stretch
 // needs no settle bound: stretchStep re-checks the configuration epochs
 // after every quantum and bails out the moment one moves.
 func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bool) {
-	if s.opts.NoMacro {
-		return 0, false
-	}
 	if !s.engine.Quiescent() {
 		return 0, false
 	}
@@ -179,15 +174,13 @@ func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bo
 			k = kd
 		}
 	}
+	if s.kernels == nil {
+		s.initKernels()
+	}
 	idle := true
 	for sock := 0; sock < s.topo.Sockets; sock++ {
-		if !s.socketIdle(sock) {
+		if !s.kernelFor(sock).idle {
 			idle = false
-			if s.opts.NoMemo {
-				// The active stretch replays cached kernels; without the
-				// kernel cache the reference path grinds instead.
-				return 0, false
-			}
 		}
 	}
 	if idle {
@@ -200,15 +193,11 @@ func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bo
 	if k < 2 {
 		return 0, false
 	}
-	// Admission discovery: scan the load profile along the quantum grid
-	// for the first nonzero offer. Finding one inside the window turns it
-	// into a scheduled admission event and caps the stretch before it.
+	// Scan the load profile along the quantum grid for the first nonzero
+	// offer; the stretch ends before it.
 	n := 0
 	for n < k && s.opts.Load.QPS(t+time.Duration(n)*q) == 0 {
 		n++
-	}
-	if n < k {
-		s.events.push(t+time.Duration(n)*q, evAdmission)
 	}
 	if n < 2 {
 		return 0, false
@@ -307,24 +296,23 @@ func (s *Sim) stretchStep(k int) int {
 		// iteration — with the reference grouping and the per-quantum
 		// epoch check — and retries, so drift resolves at quantum
 		// granularity and batching re-engages the moment state stabilizes.
-		if !s.opts.NoBatch {
-			now := s.clock.Now()
-			if n := s.machine.StepStretch(k-done, q, s.stretchActs); n > 0 {
-				s.engine.IdleStretch(now+q, q, n, s.stretchEligible, s.stretchActive)
-				s.advanceQuanta(n)
-				s.settleStretchAttr(time.Duration(n) * q)
-				done += n
-				s.batchWindows++
-				s.batchQuanta += int64(n)
-				// StepStretch's guards prove no machine epoch moved, and
-				// IdleStretch cannot move the characteristics epoch, so
-				// the kernels are still fresh.
-				continue
-			}
-		}
 		now := s.clock.Now()
+		if n := s.machine.StepStretch(k-done, q, s.stretchActs); n > 0 {
+			s.engine.IdleStretch(now+q, q, n, s.stretchEligible, s.stretchActive)
+			s.accrueBaseline(time.Duration(n)*q, nil)
+			s.advanceQuanta(n)
+			s.settleStretchAttr(time.Duration(n) * q)
+			done += n
+			s.batchWindows++
+			s.batchQuanta += int64(n)
+			// StepStretch's guards prove no machine epoch moved, and
+			// IdleStretch cannot move the characteristics epoch, so
+			// the kernels are still fresh.
+			continue
+		}
 		s.engine.IdleQuantum(now+q, q, s.stretchEligible, s.stretchActive)
 		s.machine.Step(q, s.stretchActs)
+		s.accrueBaseline(q, nil)
 		s.clock.Advance(q)
 		s.settleStretchAttr(q)
 		done++

@@ -87,37 +87,6 @@ type Options struct {
 	// Instrumentation is read-only — attaching an observer never changes
 	// a run's behavior or its determinism.
 	Obs *obs.Observer
-	// NoMemo disables the epoch-keyed step kernel cache: every quantum
-	// recomputes capacities, masks, budgets, and config renderings from
-	// scratch. This is the reference path — byte-identical results, just
-	// slower — kept for the identity proofs and for measurement.
-	NoMemo bool
-	// NoMacro disables the quiescent macro-step fast path, forcing the
-	// full per-quantum loop even through idle valleys of the load
-	// profile. Byte-identical results; kept as the reference path.
-	NoMacro bool
-	// NoEvents disables the discrete-event run loop, falling back to the
-	// per-quantum walk that inspects every 1 ms quantum for boundaries.
-	// Byte-identical results; kept as the reference path the event
-	// scheduler is proved against.
-	NoEvents bool
-	// NoBatch disables closed-form power integration over constant-state
-	// stretches (hw.Machine.StepStretch): the machine integrates quantum
-	// by quantum with the reference float grouping. Unlike the other
-	// No* reference paths this one is NOT byte-identical to the default —
-	// batching regroups float sums (P·(n·q) instead of n per-quantum
-	// terms), which is why the digests were re-locked (DESIGN.md §16).
-	// All integer-exact observables remain bit-identical and energies
-	// agree within a tight relative epsilon; scripts/relock.sh proves it
-	// with the semantic differ (cmd/semdiff).
-	NoBatch bool
-	// BatchLinearScan is a verification hook for the batched path: the
-	// closed-form stretch integrator locates RAPL refresh boundaries by
-	// walking indices one at a time instead of computing the last index
-	// directly from the refresh period. Results are bit-identical to the
-	// direct computation (the step-path identity matrix proves it), so
-	// the direct index math is never trusted on its own.
-	BatchLinearScan bool
 	// Hook, when non-nil, observes the run from outside the determinism
 	// fence (see StepHook). The hook is invoked with the virtual clock's
 	// position only — it must treat every reachable structure as
@@ -148,30 +117,21 @@ type StepHook interface {
 	OnDone(now time.Duration)
 }
 
-// naiveDefault forces NoMemo+NoMacro+NoEvents+NoBatch on every new Sim;
-// set once at process start by the eclsim -nomemo flag (before any runs)
-// so even multi-run sweeps take the reference path.
+// naiveDefault selects the reference step path for every new Sim; set
+// once at process start by the eclsim -nomemo flag (before any runs) so
+// even multi-run sweeps take it.
 var naiveDefault bool
 
-// batchOffDefault forces only NoBatch on every new Sim; set once at
-// process start by the eclsim -nobatch flag so the re-lock harness can
-// regenerate artifacts under the reference float grouping while keeping
-// every other fast path on.
-var batchOffDefault bool
-
-// SetNaiveStep switches the process-wide default step path to the naive
-// reference implementation (the kernel cache, macro-stepping, the
-// event-driven run loop, and closed-form batching all off). Call it
-// before building any Sim; it exists for the CLI's -nomemo flag and must
-// not be toggled while runs are in progress.
+// SetNaiveStep switches the process-wide default between the two step
+// paths. Off (the default) is production: the discrete-event run loop,
+// the epoch-keyed step kernel cache, and closed-form integration of
+// quiescent stretches (hw.Machine.StepStretch). On is the reference: a
+// plain walk over every quantum with a full perf-model evaluation per
+// step and per-quantum power integration. Integer observables match
+// exactly; energies differ only in float summation grouping
+// (DESIGN.md §16). Call it before building any Sim; it exists for the
+// CLI's -nomemo flag and must not be toggled while runs are in progress.
 func SetNaiveStep(on bool) { naiveDefault = on }
-
-// SetBatchOff switches the process-wide default to per-quantum power
-// integration (Options.NoBatch) without touching the other fast paths.
-// Call it before building any Sim; it exists for the CLI's -nobatch flag
-// (the re-lock harness's reference grouping) and must not be toggled
-// while runs are in progress.
-func SetBatchOff(on bool) { batchOffDefault = on }
 
 // Result is the outcome of a run.
 type Result struct {
@@ -208,6 +168,7 @@ type Result struct {
 // Sim is a fully wired simulation.
 type Sim struct {
 	opts    Options
+	naive   bool // the reference step path (SetNaiveStep)
 	clock   *vtime.Clock
 	machine *hw.Machine
 	engine  *dodb.Engine
@@ -231,7 +192,7 @@ type Sim struct {
 	bufEffs   []hw.Configuration
 	bufActs   []hw.SocketActivity
 
-	// Epoch-keyed step kernel cache (nil under Options.NoMemo): one
+	// Epoch-keyed step kernel cache (nil on the reference path): one
 	// kernel per socket, refreshed only when the machine's StateEpoch or
 	// the engine's CharacteristicsEpoch moved. kernActive aliases the
 	// kernels' active masks in the shape engine.Step expects.
@@ -316,17 +277,14 @@ func New(opts Options) (*Sim, error) {
 	if opts.Workload == nil || opts.Load == nil {
 		return nil, fmt.Errorf("sim: workload and load profile required")
 	}
+	if opts.Load.Duration() <= 0 {
+		return nil, fmt.Errorf("sim: load profile %s has no duration", opts.Load.Name())
+	}
 	if opts.Quantum <= 0 {
 		opts.Quantum = time.Millisecond
 	}
 	if opts.SampleEvery <= 0 {
 		opts.SampleEvery = 500 * time.Millisecond
-	}
-	if naiveDefault {
-		opts.NoMemo, opts.NoMacro, opts.NoEvents, opts.NoBatch = true, true, true, true
-	}
-	if batchOffDefault {
-		opts.NoBatch = true
 	}
 	pp := hw.DefaultPowerParams()
 	if opts.Power != nil {
@@ -335,15 +293,13 @@ func New(opts Options) (*Sim, error) {
 	topo := hw.HaswellEP()
 	s := &Sim{
 		opts:       opts,
+		naive:      naiveDefault,
 		clock:      vtime.NewClock(),
 		machine:    hw.NewMachine(topo, pp, opts.Seed),
 		topo:       topo,
 		rec:        trace.NewRecorder(),
 		configTime: make(map[string]time.Duration),
 		configName: make(map[string]string),
-	}
-	if opts.BatchLinearScan {
-		s.machine.SetBoundaryScanLinear(true)
 	}
 	eng, err := dodb.New(dodb.Config{
 		Topo:          topo,
@@ -439,42 +395,48 @@ func (s *Sim) attachObserver(ob *obs.Observer) {
 }
 
 // characterizeBaseline freezes the attribution meter's always-max
-// counterfactual: for each socket, the power the machine model yields at
-// hw.AllMax when fully loaded and when merely spinning, plus the
-// instruction rate a full load sustains. The characterization reads the
-// same PowerParams/perfmodel functions the step paths evaluate — it never
+// counterfactual from allMaxPower. The characterization reads the same
+// PowerParams/perfmodel functions the step paths evaluate — it never
 // touches machine state, so attaching attribution cannot perturb a run
 // (TestEnergyAttrBehaviorNeutral proves it).
 func (s *Sim) characterizeBaseline() {
+	for sock := 0; sock < s.topo.Sockets; sock++ {
+		spinPkgW, spinDramW, fullPkgW, fullDramW, instrPerSec := s.allMaxPower(sock)
+		s.eattr.SetBaseline(sock, spinPkgW, spinDramW, fullPkgW, fullDramW, instrPerSec)
+	}
+}
+
+// allMaxPower returns the power a socket draws at hw.AllMax when merely
+// spinning and when fully loaded, plus the instruction rate a full load
+// sustains.
+func (s *Sim) allMaxPower(sock int) (spinPkgW, spinDramW, fullPkgW, fullDramW units.Watt, instrPerSec float64) {
 	pp := s.machine.Params()
 	max := hw.AllMax(s.topo)
 	bwCap := hw.BandwidthCapGBs(max.UncoreMHz)
 	n := s.topo.ThreadsPerSocket()
-	for sock := 0; sock < s.topo.Sockets; sock++ {
-		cap_ := perfmodel.SocketCapacity(s.topo, max, s.engine.SocketCharacteristics(sock), 1)
-		full := hw.SocketActivity{
-			Busy:     make([]float64, n),
-			Spin:     make([]float64, n),
-			Instr:    make([]float64, n),
-			MemGBs:   cap_.MemGBsAtFull,
-			DynScale: cap_.DynScale,
-		}
-		spin := hw.SocketActivity{
-			Busy:     make([]float64, n),
-			Spin:     make([]float64, n),
-			Instr:    make([]float64, n),
-			DynScale: cap_.DynScale,
-		}
-		for i, r := range cap_.PerThread {
-			if r > 0 {
-				full.Busy[i] = 1
-			}
-			spin.Spin[i] = 1
-		}
-		fullPkgW, fullDramW := pp.SocketPowerW(s.topo, sock, max, full, false, bwCap)
-		spinPkgW, spinDramW := pp.SocketPowerW(s.topo, sock, max, spin, false, bwCap)
-		s.eattr.SetBaseline(sock, spinPkgW, spinDramW, fullPkgW, fullDramW, cap_.Aggregate)
+	cap_ := perfmodel.SocketCapacity(s.topo, max, s.engine.SocketCharacteristics(sock), 1)
+	full := hw.SocketActivity{
+		Busy:     make([]float64, n),
+		Spin:     make([]float64, n),
+		Instr:    make([]float64, n),
+		MemGBs:   cap_.MemGBsAtFull,
+		DynScale: cap_.DynScale,
 	}
+	spin := hw.SocketActivity{
+		Busy:     make([]float64, n),
+		Spin:     make([]float64, n),
+		Instr:    make([]float64, n),
+		DynScale: cap_.DynScale,
+	}
+	for i, r := range cap_.PerThread {
+		if r > 0 {
+			full.Busy[i] = 1
+		}
+		spin.Spin[i] = 1
+	}
+	fullPkgW, fullDramW = pp.SocketPowerW(s.topo, sock, max, full, false, bwCap)
+	spinPkgW, spinDramW = pp.SocketPowerW(s.topo, sock, max, spin, false, bwCap)
+	return spinPkgW, spinDramW, fullPkgW, fullDramW, cap_.Aggregate
 }
 
 func latencyLimit(opts Options) time.Duration {
@@ -711,7 +673,7 @@ func (s *Sim) flushConfigTime(k *stepKernel) {
 // load (no queries involved), using each socket's own workload
 // characteristics.
 func (s *Sim) advanceSynthetic(dt time.Duration) {
-	if s.opts.NoMemo {
+	if s.naive {
 		s.advanceSyntheticNaive(dt)
 		return
 	}
@@ -819,14 +781,12 @@ func (s *Sim) Run() (*Result, error) {
 	dur := s.opts.Load.Duration()
 	hook := s.opts.Hook
 
-	var loopErr error
-	if s.opts.NoEvents {
-		loopErr = s.runQuanta(dur)
-	} else {
-		loopErr = s.runEvents(dur)
+	run := s.runEvents
+	if s.naive {
+		run = s.runQuanta
 	}
-	if loopErr != nil {
-		return nil, loopErr
+	if err := run(dur); err != nil {
+		return nil, err
 	}
 	s.sample(dur)
 	if hook != nil {
@@ -861,12 +821,11 @@ func (s *Sim) Run() (*Result, error) {
 	return res, nil
 }
 
-// runQuanta is the reference run loop (Options.NoEvents): a walk over
-// every 1 ms quantum that inspects each iteration for boundaries — the
-// workload switch, the quiescent macro window, the trace sample. The
-// discrete-event loop in runevents.go replaces the per-quantum boundary
-// inspection with a scheduled event queue and is proved byte-identical
-// against this path.
+// runQuanta is the reference run loop: a plain walk over every quantum
+// that checks each iteration for the workload switch and the trace
+// sample, and steps the whole stack even through idle valleys. The
+// discrete-event loop in runevents.go defines its boundary semantics in
+// terms of this walk, and TestStepPathsMatchReference compares the two.
 func (s *Sim) runQuanta(dur time.Duration) error {
 	q := s.opts.Quantum
 	nextSample := time.Duration(0)
@@ -874,23 +833,13 @@ func (s *Sim) runQuanta(dur time.Duration) error {
 	hook := s.opts.Hook
 
 	for t := time.Duration(0); t < dur; t += q {
-		now := s.clock.Now()
 		if !switched && s.opts.SwitchAt > 0 && t >= s.opts.SwitchAt && s.opts.SwitchTo != nil {
 			if err := s.engine.SwitchWorkload(s.opts.SwitchTo); err != nil {
 				return err
 			}
 			switched = true
 		}
-		// Quiescent fast path: when nothing can happen for k quanta —
-		// zero offered load, idle hardware, empty engine, and no
-		// controller deadline, trace sample, or pending settle inside
-		// the window — run the machine straight through them.
-		if k := s.macroQuantaFrom(t, dur, nextSample, switched); k > 1 {
-			s.macroStep(k)
-			t += time.Duration(k-1) * q
-			continue
-		}
-		if err := s.engine.OfferLoad(units.HertzOf(s.opts.Load.QPS(t)), q, now); err != nil {
+		if err := s.engine.OfferLoad(units.HertzOf(s.opts.Load.QPS(t)), q, s.clock.Now()); err != nil {
 			return err
 		}
 		s.step(q)
@@ -908,97 +857,15 @@ func (s *Sim) runQuanta(dur time.Duration) error {
 	return nil
 }
 
-// macroQuantaFrom computes how many consecutive quanta starting at
-// profile time t the run may macro-step through, or 0/1 when the fast
-// path does not apply. The window is licensed only when every per-quantum
-// iteration it replaces would provably do nothing beyond stepping the
-// idle machine: the engine is quiescent, every socket's effective
-// configuration is idle, the offered load is zero throughout, and no
-// trace sample, workload switch, scheduled task, or pending settle falls
-// strictly inside the window. Tasks and settles landing exactly on the
-// window's end are fine: the final clock.Advance fires them with the
-// machine in the identical state the per-quantum loop would have.
-func (s *Sim) macroQuantaFrom(t, dur, nextSample time.Duration, switched bool) int {
-	if s.opts.NoMacro {
-		return 0
-	}
-	if !s.engine.Quiescent() {
-		return 0
-	}
-	for sock := 0; sock < s.topo.Sockets; sock++ {
-		if !s.socketIdle(sock) {
-			return 0
-		}
-	}
-	q := s.opts.Quantum
-	// Quanta i = 0..k-1 replace loop iterations at t+i*q, so every
-	// boundary B that triggers *at the top or bottom of an iteration*
-	// requires t+i*q < B, i.e. k <= ceil((B-t)/q).
-	span := dur - t
-	if sp := nextSample - t; sp < span {
-		span = sp
-	}
-	if !switched && s.opts.SwitchAt > 0 && s.opts.SwitchTo != nil {
-		if sp := s.opts.SwitchAt - t; sp < span {
-			span = sp
-		}
-	}
-	if span < 2*q {
-		return 0
-	}
-	k := int((span + q - 1) / q)
-	now := s.clock.Now()
-	// A scheduled task at deadline D may mutate any state, so the last
-	// macro quantum may at most *end* at D: k <= floor((D-now)/q).
-	if d, ok := s.clock.NextDeadline(); ok {
-		if kd := int((d - now) / q); kd < k {
-			k = kd
-		}
-	}
-	// A pending settle at instant A changes the effective configuration
-	// read at quantum starts; quantum starts must stay before A
-	// (the power integration inside a quantum splits at A identically
-	// in both schemes): k <= ceil((A-now)/q).
-	if a, ok := s.machine.NextSettle(); ok {
-		if ka := int((a - now + q - 1) / q); ka < k {
-			k = ka
-		}
-	}
-	if k < 2 {
-		return 0
-	}
-	n := 0
-	for n < k && s.opts.Load.QPS(t+time.Duration(n)*q) == 0 {
-		n++
-	}
-	if n < 2 {
-		return 0
-	}
-	return n
-}
-
-// socketIdle reports whether the socket's effective configuration is the
-// idle one (no active threads).
-func (s *Sim) socketIdle(sock int) bool {
-	if s.opts.NoMemo {
-		return s.machine.EffectiveView(sock).Idle()
-	}
-	if s.kernels == nil {
-		s.initKernels()
-	}
-	return s.kernelFor(sock).idle
-}
-
 // macroStep advances machine and clock through k quanta of machine-wide
 // idle with zero activity, skipping the per-quantum sim work (load offer,
-// engine step, kernel evaluation) that is a no-op in this state. By
-// default the machine integrates the whole window in closed form
+// engine step, kernel evaluation) that is a no-op in this state. The
+// machine integrates the whole window in closed form
 // (hw.Machine.StepStretch, one P·(n·q) term per domain per socket); when
 // a stretch guard bails — UFS decay still drifting, turbo budget
-// recharging, a pending settle — or under Options.NoBatch, it falls back
-// to per-quantum integration with the reference float grouping, grinding
-// one quantum before retrying the batch so drift resolves at quantum
-// granularity.
+// recharging, a pending settle — it falls back to per-quantum
+// integration, grinding one quantum before retrying the batch so drift
+// resolves at quantum granularity.
 func (s *Sim) macroStep(k int) {
 	if s.idleActs == nil {
 		s.idleActs = newZeroActs(s.topo)
@@ -1006,17 +873,17 @@ func (s *Sim) macroStep(k int) {
 	q := s.opts.Quantum
 	done := 0
 	for done < k {
-		if !s.opts.NoBatch {
-			if n := s.machine.StepStretch(k-done, q, s.idleActs); n > 0 {
-				s.advanceQuanta(n)
-				s.settleIdleAttr(time.Duration(n) * q)
-				done += n
-				s.batchWindows++
-				s.batchQuanta += int64(n)
-				continue
-			}
+		if n := s.machine.StepStretch(k-done, q, s.idleActs); n > 0 {
+			s.accrueBaseline(time.Duration(n)*q, nil)
+			s.advanceQuanta(n)
+			s.settleIdleAttr(time.Duration(n) * q)
+			done += n
+			s.batchWindows++
+			s.batchQuanta += int64(n)
+			continue
 		}
 		s.machine.Step(q, s.idleActs)
+		s.accrueBaseline(q, nil)
 		s.clock.Advance(q)
 		s.settleIdleAttr(q)
 		if s.opts.Hook != nil {
@@ -1050,14 +917,33 @@ func (s *Sim) advanceQuanta(n int) {
 	}
 }
 
+// accrueBaseline advances the always-max counterfactual over a span the
+// machine has just integrated, by the instructions actually retired
+// (stats, nil for a workless span). It runs before the clock advance: a
+// controller task firing at the span's end may reconfigure a socket,
+// and the ledger record that closes then must include the span.
+func (s *Sim) accrueBaseline(span time.Duration, stats []dodb.SocketStats) {
+	if !s.eattr.Enabled() {
+		return
+	}
+	for sock := 0; sock < s.topo.Sockets; sock++ {
+		used := 0.0
+		if stats != nil {
+			for _, u := range stats[sock].UsedInstr {
+				used += u
+			}
+		}
+		s.eattr.AccrueBaseline(sock, used, span)
+	}
+}
+
 // settleStepAttr closes the attribution span of one full per-quantum
 // step: per socket, it splits the quantum's pending joules by the engine's
-// query weights and the controller's busy-poll overhead, advances the
-// always-max counterfactual by the instructions actually retired, and
-// hands the per-weight query share back to the engine for per-query
-// distribution. Called after the clock advance, so the span end is the
-// quantum boundary the machine just integrated to.
-func (s *Sim) settleStepAttr(q time.Duration, stats []dodb.SocketStats) {
+// query weights and the controller's busy-poll overhead, and hands the
+// per-weight query share back to the engine for per-query distribution.
+// Called after the clock advance, so the span end is the quantum boundary
+// the machine just integrated to.
+func (s *Sim) settleStepAttr(q time.Duration) {
 	if !s.eattr.Enabled() {
 		return
 	}
@@ -1070,11 +956,6 @@ func (s *Sim) settleStepAttr(q time.Duration, stats []dodb.SocketStats) {
 			loop = s.controller.Overhead()
 		}
 		s.attrPerW[sock] = s.eattr.Settle(sock, end-q, end, active, w[sock], loop)
-		used := 0.0
-		for _, u := range stats[sock].UsedInstr {
-			used += u
-		}
-		s.eattr.AccrueBaseline(sock, used, q)
 	}
 	s.engine.DistributeEnergy(s.attrPerW)
 }
@@ -1090,7 +971,6 @@ func (s *Sim) settleIdleAttr(span time.Duration) {
 	end := s.clock.Now()
 	for sock := 0; sock < s.topo.Sockets; sock++ {
 		s.eattr.Settle(sock, end-span, end, 0, 0, 0)
-		s.eattr.AccrueBaseline(sock, 0, span)
 	}
 }
 
@@ -1110,17 +990,16 @@ func (s *Sim) settleStretchAttr(span time.Duration) {
 			loop = s.controller.Overhead()
 		}
 		s.eattr.Settle(sock, end-span, end, active, 0, loop)
-		s.eattr.AccrueBaseline(sock, 0, span)
 	}
 }
 
 // step advances the whole stack by one quantum.
 func (s *Sim) step(q time.Duration) {
-	if !s.opts.NoMemo && q == s.opts.Quantum {
-		s.stepCached(q)
+	if s.naive {
+		s.stepNaive(q)
 		return
 	}
-	s.stepNaive(q)
+	s.stepCached(q)
 }
 
 // stepCached is the epoch-cached step: per-socket state comes from the
@@ -1182,8 +1061,9 @@ func (s *Sim) stepCached(q time.Duration) {
 		}
 	}
 	s.machine.Step(q, acts)
+	s.accrueBaseline(q, stats)
 	s.clock.Advance(q)
-	s.settleStepAttr(q, stats)
+	s.settleStepAttr(q)
 }
 
 // stepNaive is the reference step implementation: a full perf-model
@@ -1270,8 +1150,9 @@ func (s *Sim) stepNaive(q time.Duration) {
 		}
 	}
 	s.machine.Step(q, acts)
+	s.accrueBaseline(q, stats)
 	s.clock.Advance(q)
-	s.settleStepAttr(q, stats)
+	s.settleStepAttr(q)
 }
 
 // sample records the trace series at profile time t. Power values are

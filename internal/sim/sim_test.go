@@ -43,6 +43,21 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsZeroLengthLoad: a profile without duration has nothing to
+// run. A Step with StepLen 0 would divide by zero in QPS, and a zero or
+// negative Constant would report NaN savings.
+func TestNewRejectsZeroLengthLoad(t *testing.T) {
+	for _, load := range []loadprofile.Profile{
+		loadprofile.Step{Levels: make([]float64, 30), StepLen: 0},
+		loadprofile.Constant{Qps: 100, Len: 0},
+		loadprofile.Constant{Qps: 100, Len: -time.Second},
+	} {
+		if _, err := New(Options{Workload: workload.NewKV(true), Load: load, Governor: GovernorECL}); err == nil {
+			t.Errorf("New accepted a %s profile of duration %v", load.Name(), load.Duration())
+		}
+	}
+}
+
 func TestBaselineRunCompletesLoad(t *testing.T) {
 	res := shortRun(t, GovernorBaseline, 5000, nil)
 	if res.Submitted == 0 {

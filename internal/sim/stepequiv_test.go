@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -10,21 +12,18 @@ import (
 	"ecldb/internal/obs"
 	"ecldb/internal/obs/energyattr"
 	"ecldb/internal/obs/trace"
+	"ecldb/internal/relock"
+	"ecldb/internal/units"
 	"ecldb/internal/workload"
 )
 
-// stepEquivOptions builds the scenario the optimized-vs-reference
-// equivalence proof runs: an ECL run over a stepped profile whose zero
-// plateaus give the quiescent macro-step fast path real windows to claim,
-// with the observability layer attached so event logs, metrics, and the
-// explain report enter the digest.
-func stepEquivOptions(noMemo, noMacro bool) Options {
-	// Query tracing rides along: the Perfetto export and breakdown enter
-	// the digest, so the proof also covers span byte-identity across the
-	// optimization combinations (macro windows require quiescence, so no
-	// traced span interval can overlap one). Energy attribution rides
-	// along too: its exposition joins the digest and its conservation
-	// invariant is asserted per combination below.
+// stepEquivOptions builds the scenario the production-versus-reference
+// comparison runs: an ECL run over a stepped profile whose zero plateaus
+// give the quiescent fast-forward paths (idle macro windows, active
+// stretches, closed-form batching) real windows to claim, with the
+// observability layer, query tracing and energy attribution attached so
+// every rendered artifact enters the comparison.
+func stepEquivOptions() Options {
 	ob := obs.New(0)
 	ob.Trace = trace.New(3)
 	ob.Energy = energyattr.New(hw.HaswellEP().Sockets)
@@ -38,112 +37,179 @@ func stepEquivOptions(noMemo, noMacro bool) Options {
 		Prewarm:  true,
 		Seed:     7,
 		Obs:      ob,
-		NoMemo:   noMemo,
-		NoMacro:  noMacro,
 	}
 }
 
-// TestStepPathsByteIdentical is the identity proof for this package's
-// step-loop optimizations: the epoch-keyed kernel cache (NoMemo toggles
-// it), the quiescent macro-step fast path (NoMacro toggles it), the
-// discrete-event run loop (NoEvents falls back to the per-quantum walk),
-// and the closed-form batch integrator (NoBatch falls back to per-quantum
-// power integration). The digest covers the full observable surface:
-// time-series float bits, energy counters, query counters, MostApplied,
-// the rendered trace CSV, the profile skyline, the JSONL event log, the
-// Prometheus exposition, the explain report, and the Perfetto query-trace
-// export. scripts/check.sh runs this under the race detector.
-//
-// Batching regroups float sums (P·(n·q) instead of n per-quantum terms),
-// so — unlike every other toggle — batch-on runs are NOT byte-identical
-// to the reference. The matrix therefore splits into digest-equality
-// groups:
-//
-//	group 0: every NoBatch combination — bit-identical to the naive
-//	         reference, the PR 8 proof unchanged;
-//	group 1: batch-on combinations whose only batched windows are the
-//	         idle macro windows, which the walk and the event loop
-//	         license identically — mutually bit-identical;
-//	group 2: the production default (event loop, active stretches
-//	         batched too) and its linear-boundary-scan verification twin,
-//	         which must prove the direct RAPL boundary-index computation
-//	         bit-equal to walking the boundaries one at a time.
-//
-// Across groups, every integer-exact observable must still match the
-// reference exactly, and the run energies must agree within a tight
-// relative epsilon — the in-process half of the re-lock argument;
-// scripts/relock.sh extends it to every regenerated artifact.
-func TestStepPathsByteIdentical(t *testing.T) {
-	combos := []struct {
-		name                               string
-		noMemo, noMacro, noEvents, noBatch bool
-		linear                             bool
-		group                              int
-	}{
-		// The quantum walk, with and without the step optimizations.
-		{"naive", true, true, true, true, false, 0}, // the reference: quantum walk, no cache, no macro
-		{"memo-only", false, true, true, true, false, 0},
-		{"macro-only", true, false, true, true, false, 0},
-		{"quantum-nobatch", false, false, true, true, false, 0},
-		// The event scheduler over the same optimization matrix.
-		{"events-naive", true, true, false, true, false, 0},
-		{"events-macro", true, false, false, true, false, 0},
-		{"events-nobatch", false, false, false, true, false, 0},
-		// Closed-form batching over idle macro windows only.
-		{"macro-batch", true, false, true, false, false, 1},
-		{"quantum-batch", false, false, true, false, false, 1},
-		{"events-macro-batch", true, false, false, false, false, 1},
-		// The production default: active stretches batch too.
-		{"events-default", false, false, false, false, false, 2},
-		{"events-default-linear", false, false, false, false, true, 2},
+// runStepPath runs stepEquivOptions on the production path or, with
+// naive, on the reference path (SetNaiveStep), and renders its artifacts
+// into dir: the event JSONL, the Prometheus exposition, the explain
+// report, the Perfetto export, the trace CSV and the energy-attribution
+// JSONL.
+func runStepPath(t *testing.T, naive bool, dir string) (*Sim, *Result, Options) {
+	t.Helper()
+	opts := stepEquivOptions()
+	SetNaiveStep(naive)
+	s, err := New(opts)
+	SetNaiveStep(false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var groupRef [3][32]byte
-	var groupSeen [3]bool
-	var refRes *Result
-	for _, c := range combos {
-		opts := stepEquivOptions(c.noMemo, c.noMacro)
-		opts.NoEvents = c.noEvents
-		opts.NoBatch = c.noBatch
-		opts.BatchLinearScan = c.linear
-		sum, s, res := digestRun(t, opts)
-		switch {
-		case c.noMacro && s.macroWindows != 0:
-			t.Errorf("%s: macro-stepped %d windows with the fast path disabled", c.name, s.macroWindows)
-		case !c.noMacro && s.macroWindows == 0:
-			t.Errorf("%s: the idle plateaus never engaged the macro-step fast path; the comparison is vacuous", c.name)
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := opts.Obs
+	for _, a := range []struct {
+		name  string
+		write func(f *os.File) error
+	}{
+		{"events.jsonl", func(f *os.File) error { return ob.Log.WriteJSONL(f) }},
+		{"metrics.prom", func(f *os.File) error { return ob.Metrics.WriteProm(f) }},
+		{"explain.txt", func(f *os.File) error { _, err := f.WriteString(ob.Explain()); return err }},
+		{"perfetto.json", func(f *os.File) error { return ob.Trace.WritePerfetto(f) }},
+		{"trace.csv", func(f *os.File) error { return res.Rec.WriteCSV(f) }},
+		{"eattr.jsonl", func(f *os.File) error { return ob.Energy.WriteJSONL(f) }},
+	} {
+		f, err := os.Create(filepath.Join(dir, a.name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !c.noMacro && s.macroQuanta < s.macroWindows {
-			t.Errorf("%s: %d macro windows cover only %d quanta", c.name, s.macroWindows, s.macroQuanta)
+		if err := a.write(f); err != nil {
+			t.Fatal(err)
 		}
-		// The active stretch (quiescent engine, awake sockets) needs both
-		// the event loop and the kernel cache; anywhere else it must stay
-		// out of the way.
-		switch {
-		case (c.noEvents || c.noMemo || c.noMacro) && s.stretchWindows != 0:
-			t.Errorf("%s: active stretch engaged %d windows outside its licensing combination", c.name, s.stretchWindows)
-		case !c.noEvents && !c.noMemo && !c.noMacro && s.stretchWindows == 0:
-			t.Errorf("%s: the active stretch never engaged; the comparison is vacuous", c.name)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
 		}
-		// Batch vacuity: a NoBatch run must never touch StepStretch, and a
-		// batch-on run that never batches proves nothing.
-		switch {
-		case c.noBatch && s.batchQuanta != 0:
-			t.Errorf("%s: batched %d quanta with batching disabled", c.name, s.batchQuanta)
-		case !c.noBatch && s.batchQuanta == 0:
-			t.Errorf("%s: closed-form batching never engaged; the comparison is vacuous", c.name)
+	}
+	return s, res, opts
+}
+
+// TestStepPathsMatchReference compares this package's two step paths end
+// to end. Production is the discrete-event loop with the epoch-keyed
+// kernel cache and closed-form stretch integration; the reference
+// (SetNaiveStep, eclsim -nomemo) walks every quantum with a full
+// perf-model evaluation and per-quantum power integration. Closed-form
+// integration regroups float sums (P·(n·q) instead of n per-quantum
+// terms), so the rendered artifacts must agree under the re-lock rules
+// (internal/relock): every integer and every non-numeric byte exactly,
+// every float within 1e-9 relative. The Results must agree semantically,
+// both runs must conserve energy, and the comparison must not be vacuous:
+// production has to engage every fast path, the reference none.
+// scripts/check.sh runs this under the race detector.
+func TestStepPathsMatchReference(t *testing.T) {
+	prodDir, refDir := t.TempDir(), t.TempDir()
+	prod, prodRes, prodOpts := runStepPath(t, false, prodDir)
+	ref, refRes, refOpts := runStepPath(t, true, refDir)
+
+	reports, err := relock.CompareTrees(refDir, prodDir, relock.Options{RelEps: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 6 {
+		t.Fatalf("compared %d artifacts, want 6", len(reports))
+	}
+	for _, r := range reports {
+		if !r.OK() {
+			t.Errorf("%s: production diverges from the reference: %s", r.Path, r.Err)
 		}
-		if !groupSeen[c.group] {
-			groupRef[c.group], groupSeen[c.group] = sum, true
-			if c.group == 0 {
-				refRes = res
+	}
+	assertSemanticallyEqual(t, "production", refRes, prodRes)
+	assertEnergyConservation(t, "production", prod, prodOpts.Obs.Energy)
+	assertEnergyConservation(t, "reference", ref, refOpts.Obs.Energy)
+
+	if prod.macroWindows == 0 || prod.stretchWindows == 0 || prod.batchQuanta == 0 {
+		t.Errorf("production engaged %d macro windows, %d active stretches and %d batched quanta; "+
+			"every fast path must engage or the comparison is vacuous",
+			prod.macroWindows, prod.stretchWindows, prod.batchQuanta)
+	}
+	if ref.macroWindows != 0 || ref.stretchWindows != 0 || ref.batchQuanta != 0 || ref.kernels != nil {
+		t.Errorf("reference engaged a fast path: %d macro windows, %d active stretches, %d batched quanta, kernel cache %v",
+			ref.macroWindows, ref.stretchWindows, ref.batchQuanta, ref.kernels != nil)
+	}
+}
+
+// TestKernelCacheLockstep is the layer-local proof of the epoch-keyed
+// step kernel cache: two same-seed ECL sims run side by side, one through
+// stepCached and advanceSynthetic, the other through stepNaive and
+// advanceSyntheticNaive, over a test-written quantum loop that offers
+// load and lets the controllers tick (prewarm included). The cached step
+// evaluates the reference's expressions in the reference's order, so
+// after every quantum the machines' true energy and instruction counters
+// must carry identical bits, and every StateEpoch and engine counter
+// must match.
+func TestKernelCacheLockstep(t *testing.T) {
+	build := func(naive bool) *Sim {
+		s, err := New(Options{
+			Workload: workload.NewKV(false),
+			Load:     loadprofile.Constant{Len: time.Hour},
+			Governor: GovernorECL,
+			Seed:     5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.naive = naive // Prewarm's synthetic sweeps take the matching path
+		s.Prewarm()
+		s.controller.Start()
+		return s
+	}
+	cached, ref := build(false), build(true)
+	check := func(phase string, i int) {
+		t.Helper()
+		for sock := 0; sock < cached.topo.Sockets; sock++ {
+			for _, d := range []hw.Domain{hw.DomainPackage, hw.DomainDRAM} {
+				c, r := cached.machine.TrueEnergy(sock, d), ref.machine.TrueEnergy(sock, d)
+				if math.Float64bits(c.Joules()) != math.Float64bits(r.Joules()) {
+					t.Fatalf("%s quantum %d: socket %d domain %v energy %v (cached) != %v (reference)", phase, i, sock, d, c, r)
+				}
 			}
-		} else if sum != groupRef[c.group] {
-			t.Errorf("%s digest diverged from its group-%d reference:\n  %x\n  %x", c.name, c.group, sum, groupRef[c.group])
+			if c, r := cached.machine.SocketInstructions(sock), ref.machine.SocketInstructions(sock); math.Float64bits(c) != math.Float64bits(r) {
+				t.Fatalf("%s quantum %d: socket %d instructions %v (cached) != %v (reference)", phase, i, sock, c, r)
+			}
+			if c, r := cached.machine.StateEpoch(sock), ref.machine.StateEpoch(sock); c != r {
+				t.Fatalf("%s quantum %d: socket %d StateEpoch %d (cached) != %d (reference)", phase, i, sock, c, r)
+			}
 		}
-		if c.group != 0 && refRes != nil {
-			assertSemanticallyEqual(t, c.name, refRes, res)
+		ce, re := cached.engine, ref.engine
+		if ce.SubmittedQueries() != re.SubmittedQueries() || ce.CompletedQueries() != re.CompletedQueries() ||
+			ce.InFlight() != re.InFlight() || ce.Latency().OverThreshold() != re.Latency().OverThreshold() {
+			t.Fatalf("%s quantum %d: engine counters diverged: submitted %d/%d completed %d/%d inflight %d/%d violations %d/%d",
+				phase, i, ce.SubmittedQueries(), re.SubmittedQueries(), ce.CompletedQueries(), re.CompletedQueries(),
+				ce.InFlight(), re.InFlight(), ce.Latency().OverThreshold(), re.Latency().OverThreshold())
 		}
-		assertEnergyConservation(t, c.name, s, opts.Obs.Energy)
+	}
+	check("prewarm", 0)
+
+	// Bursts around idle gaps long enough for the controllers to
+	// reconfigure (1 s ticks), so kernels refresh on real epoch moves.
+	load := loadprofile.Step{Levels: []float64{6000, 0, 9000, 0, 0, 3000}, StepLen: 500 * time.Millisecond}
+	q := cached.opts.Quantum
+	epoch0 := cached.machine.StateEpoch(0)
+	i := 0
+	for at := time.Duration(0); at < load.Duration(); at += q {
+		qps := units.HertzOf(load.QPS(at))
+		if err := cached.engine.OfferLoad(qps, q, cached.clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.engine.OfferLoad(qps, q, ref.clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+		cached.stepCached(q)
+		ref.stepNaive(q)
+		check("step", i)
+		i++
+	}
+	for i := 0; i < 200; i++ {
+		cached.advanceSynthetic(q)
+		ref.advanceSyntheticNaive(q)
+		check("synthetic", i)
+	}
+	if cached.engine.CompletedQueries() == 0 || cached.machine.StateEpoch(0) == epoch0 {
+		t.Fatalf("lockstep is vacuous: %d queries completed, socket 0 epoch %d -> %d",
+			cached.engine.CompletedQueries(), epoch0, cached.machine.StateEpoch(0))
+	}
+	if ref.kernels != nil {
+		t.Fatal("the reference sim built a kernel cache")
 	}
 }
 
@@ -156,11 +222,37 @@ func TestStepPathsByteIdentical(t *testing.T) {
 // (2) the attributed partition is exact by the subtractive identity
 // integ − queries − control − residual == 0 per socket and domain (see
 // energyattr.ResidualJ for why the additive restatement is the wrong
-// check). It also guards against vacuity: the run must actually have
-// attributed query and control energy, observed queries, recorded spans,
-// and closed ledger records.
+// check). (3) The audit ledger keeps pace with the machine: the
+// counterfactual never draws less than the always-max machine spinning,
+// so every closed record's BaselineJ must cover at least that spin power
+// over the part of its reign inside the attributed run window (relative
+// 1e-9 for the summation grouping). It also guards against vacuity: the
+// run must actually have attributed query and control energy, observed
+// queries, recorded spans, and closed ledger records.
 func assertEnergyConservation(t *testing.T, name string, s *Sim, m *energyattr.Meter) {
 	t.Helper()
+	spinW := make([]units.Watt, s.topo.Sockets)
+	for sock := range spinW {
+		spinPkgW, spinDramW, _, _, _ := s.allMaxPower(sock)
+		spinW[sock] = spinPkgW + spinDramW
+	}
+	short := 0
+	for _, r := range m.Ledger() {
+		start := max(r.Start, s.started)
+		if r.End <= start {
+			continue
+		}
+		floor := spinW[r.Socket].Over(r.End - start).Joules()
+		if r.BaselineJ.Joules() < floor*(1-1e-9) {
+			if short++; short <= 3 {
+				t.Errorf("%s: ledger record socket %d %q [%v, %v] baseline %.6g J below the spin floor %.6g J",
+					name, r.Socket, r.Key, r.Start, r.End, r.BaselineJ.Joules(), floor)
+			}
+		}
+	}
+	if short > 3 {
+		t.Errorf("%s: %d ledger records in all fall below the spin floor", name, short)
+	}
 	for sock := 0; sock < s.topo.Sockets; sock++ {
 		for _, d := range []struct {
 			meter int
@@ -360,53 +452,51 @@ func TestSimStepSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // benchStepKernel measures one live step (load offer + full stack quantum)
-// with the kernel cache on or off; the pair quantifies what the epoch
-// memoization buys on the per-quantum path. Macro-stepping is disabled so
-// both variants run the same number of real steps.
-func benchStepKernel(b *testing.B, noMemo bool) {
+// through the kernel cache (stepCached) or the reference (stepNaive); the
+// pair quantifies what the epoch memoization buys on the per-quantum path.
+func benchStepKernel(b *testing.B, naive bool) {
 	s, err := New(Options{
 		Workload: workload.NewKV(true),
 		Load:     loadprofile.Constant{Qps: 3000, Len: time.Hour},
 		Governor: GovernorECL,
 		Prewarm:  true,
 		Seed:     9,
-		NoMemo:   noMemo,
-		NoMacro:  true,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	s.Prewarm()
 	s.controller.Start()
+	step := s.stepCached
+	if naive {
+		step = s.stepNaive
+	}
 	q := s.opts.Quantum
 	for i := 0; i < 2000; i++ {
 		if err := s.engine.OfferLoad(3000, q, s.clock.Now()); err != nil {
 			b.Fatal(err)
 		}
-		s.step(q)
+		step(q)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.engine.OfferLoad(3000, q, s.clock.Now()); err != nil {
 			b.Fatal(err)
 		}
-		s.step(q)
+		step(q)
 	}
 }
 
 func BenchmarkStepKernel(b *testing.B)       { benchStepKernel(b, false) }
 func BenchmarkStepKernelNoMemo(b *testing.B) { benchStepKernel(b, true) }
 
-// benchIdleHeavy runs a full 60 s ECL simulation whose load profile is
+// BenchmarkIdleHeavyRun runs a full 60 s simulation whose load profile is
 // two short bursts around a long zero plateau — the shape where the
 // discrete-event scheduler's quiescent stretches (idle macro-steps and
-// active-but-workless IdleQuantum windows) dominate the walk. The
-// NoEvents variant runs the identical scenario on the per-quantum
-// reference loop (kernel cache and macro-stepping still on), so the
-// pair reads the event scheduler's contribution directly off a
-// BENCH_*.json snapshot. No observer is attached: this measures the
+// active-but-workless IdleQuantum windows) and their closed-form
+// integration dominate. No observer is attached: this measures the
 // headless sweep configuration the figure regenerators run in.
-func benchIdleHeavy(b *testing.B, noEvents bool) {
+func BenchmarkIdleHeavyRun(b *testing.B) {
 	levels := make([]float64, 30)
 	levels[0], levels[len(levels)-1] = 4000, 4000
 	for i := 0; i < b.N; i++ {
@@ -416,7 +506,6 @@ func benchIdleHeavy(b *testing.B, noEvents bool) {
 			Governor: GovernorBaseline,
 			Prewarm:  true,
 			Seed:     13,
-			NoEvents: noEvents,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -426,6 +515,3 @@ func benchIdleHeavy(b *testing.B, noEvents bool) {
 		}
 	}
 }
-
-func BenchmarkIdleHeavyRun(b *testing.B)         { benchIdleHeavy(b, false) }
-func BenchmarkIdleHeavyRunNoEvents(b *testing.B) { benchIdleHeavy(b, true) }

@@ -57,12 +57,19 @@ echo "== perfbench module vet + short tests"
 echo "== determinism under -race"
 go test -race -short -count=1 -run 'TestDeterminism' ./internal/sim
 
-echo "== step-path byte-identity under -race"
-# The optimized step loop (epoch-keyed kernel cache + quiescent
-# macro-stepping) against the naive reference path: all four on/off
-# combinations must digest bit-identically over series, counters, trace
-# CSV, event log, metrics exposition, and explain report.
-go test -race -count=1 -run 'TestStepPathsByteIdentical' ./internal/sim
+echo "== step paths against the reference under -race"
+# internal/sim keeps two step paths: production (event loop, kernel
+# cache, closed-form stretch integration) and the reference (plain
+# quantum walk, full per-step evaluation, per-quantum integration;
+# eclsim -nomemo). TestKernelCacheLockstep runs a cached and a reference
+# sim side by side and demands identical energy bits, state epochs and
+# engine counters after every quantum. TestStepPathsMatchReference runs
+# one observed scenario on each path: the event log, metrics
+# exposition, explain report, Perfetto export, trace CSV and
+# energy-attribution export must match exactly in integers and text and
+# within 1e-9 in floats; both runs must conserve energy bitwise and keep
+# the audit ledger's baseline at or above the spin floor.
+go test -race -count=1 -run 'TestStepPathsMatchReference|TestKernelCacheLockstep' ./internal/sim
 
 echo "== query trace validity + byte-identity under -race"
 # A short traced simulation: the Perfetto export must parse as JSON,
@@ -85,7 +92,7 @@ echo "== energy attribution under -race"
 # The attribution meter's contract, raced: conservation (the meter's
 # mirror is bitwise equal to the machine's RAPL counters and the
 # queries/control/residual partition sums back exactly) is asserted
-# inside the 12-combo step-path matrix above; here the meter's own
+# on both step paths by TestStepPathsMatchReference above; here the meter's own
 # tests run — behavior neutrality (digest identical with the meter on
 # or off), determinism of its exports, a positive energy-saved signal
 # with a coherent audit ledger, and the zero-alloc steady-state accrual
@@ -98,8 +105,9 @@ echo "== digest re-lock semantic check"
 # The closed-form stretch integration (DESIGN.md §16) changes the
 # grouping of float sums, so energies are not byte-identical to the
 # per-quantum reference. The re-lock harness's fast mode regenerates a
-# figure subset under both groupings and proves that every integer
-# observable is byte-identical and every float agrees within epsilon.
+# figure subset on both step paths (eclsim -nomemo and the default)
+# and proves that every integer observable is byte-identical and every
+# float agrees within epsilon.
 relock_out=$(mktemp -d)
 ./scripts/relock.sh --check "$relock_out"
 rm -rf "$relock_out"
