@@ -252,26 +252,34 @@ func customRun(wlName, loadName, traceFile string, level float64, duration time.
 	if wl == nil {
 		return fmt.Errorf("unknown workload %q", wlName)
 	}
-	capacity, err := bench.MeasureCapacity(wl, seed)
-	if err != nil {
-		return err
+	// Reject bad input before the capacity probe, which takes seconds.
+	if duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %v", duration)
 	}
-	var load loadprofile.Profile
+	var newLoad func(capacity float64) loadprofile.Profile
 	switch loadName {
 	case "spike":
-		load = loadprofile.Spike{PeakQps: capacity * 1.15, Len: duration}
+		newLoad = func(c float64) loadprofile.Profile {
+			return loadprofile.Spike{PeakQps: c * 1.15, Len: duration}
+		}
 	case "twitter":
-		load = loadprofile.Twitter{BaseQps: capacity * 0.8, Len: duration}
+		newLoad = func(c float64) loadprofile.Profile {
+			return loadprofile.Twitter{BaseQps: c * 0.8, Len: duration}
+		}
 	case "constant":
-		load = loadprofile.Constant{Qps: capacity * level, Len: duration}
+		newLoad = func(c float64) loadprofile.Profile {
+			return loadprofile.Constant{Qps: c * level, Len: duration}
+		}
 	case "idleburst":
 		// Two short bursts around a long zero plateau: the shape of
 		// BenchmarkIdleHeavyRun, and the one that exercises the
 		// closed-form stretch integration (DESIGN.md §16) hardest.
-		levels := make([]float64, 30)
-		levels[0] = capacity * level
-		levels[len(levels)-1] = capacity * level
-		load = loadprofile.Step{Levels: levels, StepLen: duration / 30}
+		newLoad = func(c float64) loadprofile.Profile {
+			levels := make([]float64, 30)
+			levels[0] = c * level
+			levels[len(levels)-1] = c * level
+			return loadprofile.Step{Levels: levels, StepLen: duration / 30}
+		}
 	case "replay":
 		if traceFile == "" {
 			return fmt.Errorf("-load replay needs -trace <csv>")
@@ -286,10 +294,15 @@ func customRun(wlName, loadName, traceFile string, level float64, duration time.
 			return err
 		}
 		fmt.Printf("replaying %s compressed %.0fx\n", traceFile, rp.Compression())
-		load = rp
+		newLoad = func(float64) loadprofile.Profile { return rp }
 	default:
 		return fmt.Errorf("unknown load profile %q", loadName)
 	}
+	capacity, err := bench.MeasureCapacity(wl, seed)
+	if err != nil {
+		return err
+	}
+	load := newLoad(capacity)
 	fmt.Printf("workload %s, capacity %.0f qps, load %s for %v\n", wlName, capacity, loadName, duration)
 	var baseJ units.Joule
 	for _, gov := range []sim.Governor{sim.GovernorBaseline, sim.GovernorECL} {

@@ -337,7 +337,7 @@ func (e *Engine) CharacteristicsEpoch() uint64 {
 // any worker, every socket's last reported utilization zero, and (when
 // observability is attached) no worker counted as awake. In this state a
 // Step with zero offered load has no effect beyond re-deriving the same
-// zeros, which is what licenses the simulation's macro-step fast path.
+// zeros, which is what licenses the simulation's quiescent fast-forward.
 func (e *Engine) Quiescent() bool {
 	if e.inFlightLen != 0 || e.router.PendingTotal() != 0 {
 		return false
@@ -923,51 +923,6 @@ func (e *Engine) Step(now, dt time.Duration, active [][]bool, budget [][]float64
 	return stats
 }
 
-// IdleQuantum advances the engine's cumulative accounting by one quantum
-// in which the engine provably does nothing. Preconditions (the caller's
-// to guarantee): Quiescent() holds and no load is offered this quantum.
-// Under them, a full Step degenerates to bookkeeping — the communication
-// round is a no-op, no worker acquires a partition, every busy fraction
-// is zero — and the only state Step would change is reproduced here with
-// Step's exact arithmetic, in Step's order:
-//
-//   - the worker-elasticity observation fires: a socket whose active
-//     worker count (activeCount[s]) differs from the previous step's
-//     emits one wake/sleep event and records the new count, exactly as
-//     Step does — this matters in the one-quantum window after a settle
-//     commit wakes or parks threads, before any full Step observes it;
-//   - activeSec gains one dt.Seconds() term per active worker with a
-//     positive budget (eligible[s] counts them), as sequential float adds;
-//   - busySec gains only +0.0 terms (zero busy fraction), which are
-//     dropped: busySec is never negative zero, so x + 0.0 == x exactly;
-//   - the tracer's per-socket asleep clocks accrue for sockets with no
-//     active worker, and the step frame advances;
-//   - utilization stays exactly zero (Step would recompute 0/budget).
-//
-// The discrete-event run loop calls this for every quantum inside an
-// engine-quiescent stretch, replacing Step's hub and budget scans.
-//
-//ecllint:hotpath runs every quantum of an engine-quiescent stretch
-func (e *Engine) IdleQuantum(now, dt time.Duration, eligible, activeCount []int) {
-	if e.obsOn {
-		e.observeWorkers(now, activeCount)
-	}
-	if e.tracer.Enabled() {
-		e.stepStart, e.stepEnd = now-dt, now
-		for s, n := range activeCount {
-			if n == 0 {
-				e.asleepNS[s] += dt
-			}
-		}
-	}
-	ds := dt.Seconds()
-	for s, n := range eligible {
-		for i := 0; i < n; i++ {
-			e.activeSec[s] += ds
-		}
-	}
-}
-
 // observeWorkers emits the worker-elasticity observation: one wake/sleep
 // event per socket whose active worker count moved since the previous
 // step, with Step's exact payload.
@@ -993,21 +948,41 @@ func (e *Engine) observeWorkers(now time.Duration, activeCount []int) {
 	}
 }
 
-// IdleStretch batches n consecutive IdleQuantum calls whose eligible and
-// activeCount inputs are constant across the stretch; first is the `now`
-// of the first batched quantum (quantum i of the stretch ends at
-// first + i·dt). Relative to n per-quantum calls:
+// IdleStretch advances the engine's cumulative accounting over n
+// consecutive quanta in which the engine provably does nothing; first is
+// the `now` of the first quantum (quantum i of the stretch ends at
+// first + i·dt). Preconditions (the caller's to guarantee): Quiescent()
+// held when the enclosing quiescent window began, no load has been
+// offered since, and eligible and activeCount are constant across the n
+// quanta. Under them, each full Step degenerates to
+// bookkeeping — the communication round is a no-op, no worker acquires a
+// partition, every busy fraction is zero — and the only state the n Steps
+// would change is reproduced here, in Step's order:
 //
-//   - the wake/sleep observation can only fire on the first quantum —
-//     the counts are constant afterwards — so emitting it once at first
-//     leaves the event stream byte-identical;
-//   - the tracer's asleep clocks accrue n·dt in one add (Duration sums
-//     are exact integers) and the step frame jumps to the last quantum's;
-//   - activeSec gains one ds·n term per eligible worker instead of n
-//     sequential ds terms — the float regrouping the digest re-lock
-//     covers (DESIGN.md §16).
+//   - the worker-elasticity observation fires: a socket whose active
+//     worker count (activeCount[s]) differs from the previous step's
+//     emits one wake/sleep event at first and records the new count.
+//     The counts are constant afterwards, so it can only fire on the
+//     first quantum — this matters in the one-quantum window after a
+//     settle commit wakes or parks threads, before any full Step
+//     observes it;
+//   - activeSec gains one ds·n term per active worker with a positive
+//     budget (eligible[s] counts them), where n Steps add n sequential
+//     ds terms — the float regrouping the digest re-lock covers
+//     (DESIGN.md §16). With n == 1 the add is Step's own, since
+//     ds·1 == ds exactly;
+//   - busySec gains only +0.0 terms (zero busy fraction), which are
+//     dropped: busySec is never negative zero, so x + 0.0 == x exactly;
+//   - the tracer's per-socket asleep clocks accrue n·dt for sockets with
+//     no active worker in one add (Duration sums are exact integers),
+//     and the step frame jumps to the last quantum's;
+//   - utilization stays exactly zero (Step would recompute 0/budget).
 //
-//ecllint:hotpath runs once per fast-forwarded stretch
+// The discrete-event run loop calls this for every quiescent stretch,
+// with n == 1 for each quantum it grinds, replacing Step's hub and
+// budget scans.
+//
+//ecllint:hotpath runs once per fast-forwarded stretch or ground quiescent quantum
 func (e *Engine) IdleStretch(first, dt time.Duration, n int, eligible, activeCount []int) {
 	if n <= 0 {
 		return

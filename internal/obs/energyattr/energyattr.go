@@ -467,8 +467,15 @@ func (m *Meter) NoteReconfig(socket int, key string, at time.Duration) {
 }
 
 // closeOpen appends the closed record for a socket's open reign, if any.
+// A reign that ends at the instant it began covered no time and is
+// dropped: two reconfigurations at one instant, or one at the run's end,
+// leave no zero-length record.
 func (m *Meter) closeOpen(s *socketState, socket int, at time.Duration) {
 	if !s.open {
+		return
+	}
+	s.open = false
+	if at == s.openStart {
 		return
 	}
 	m.ledger.Append(Reconfig{
@@ -479,7 +486,6 @@ func (m *Meter) closeOpen(s *socketState, socket int, at time.Duration) {
 		MeasuredJ: s.integ[DomainPackage] + s.integ[DomainDRAM] - s.open0,
 		BaselineJ: s.baseJ - s.openBase0,
 	})
-	s.open = false
 }
 
 // CloseLedger closes every socket's open reign at the end of a run, so

@@ -276,3 +276,49 @@ func TestExports(t *testing.T) {
 		t.Error("snapshot shares state with the live meter")
 	}
 }
+
+// TestLedgerDropsZeroLengthReigns: a reign that ends at the instant it
+// began — a second reconfiguration at the same instant, or one landing on
+// the run's end — leaves no Start == End record, and the remaining
+// records still tile the socket's timeline from the first
+// reconfiguration to CloseLedger with no gap.
+func TestLedgerDropsZeroLengthReigns(t *testing.T) {
+	m := New(1)
+	now := time.Duration(0)
+	step := func() {
+		m.Accrue(0, units.WattsOf(40), units.WattsOf(8), q)
+		m.Settle(0, now, now+q, 8, 0, 0)
+		now += q
+	}
+	m.NoteReconfig(0, "cfgA", now)
+	step()
+	m.NoteReconfig(0, "cfgB", now)
+	m.NoteReconfig(0, "cfgC", now) // cfgB reigns for no time
+	step()
+	step()
+	m.NoteReconfig(0, "cfgD", now) // run ends as cfgD takes over
+	m.CloseLedger(now)
+
+	led := m.Ledger()
+	var keys []string
+	var measured units.Joule
+	for i, r := range led {
+		if r.Start == r.End {
+			t.Errorf("record %d (%s): zero-length reign at %v", i, r.Key, r.Start)
+		}
+		if i > 0 && r.Start != led[i-1].End {
+			t.Errorf("record %d (%s) starts at %v, previous ends at %v", i, r.Key, r.Start, led[i-1].End)
+		}
+		keys = append(keys, r.Key)
+		measured += r.MeasuredJ
+	}
+	if got := strings.Join(keys, ","); got != "cfgA,cfgC" {
+		t.Fatalf("ledger keys %q, want cfgA,cfgC", got)
+	}
+	if led[0].Start != 0 || led[len(led)-1].End != now {
+		t.Errorf("ledger covers [%v, %v), want [0, %v)", led[0].Start, led[len(led)-1].End, now)
+	}
+	if want := m.Integrated(0, DomainPackage) + m.Integrated(0, DomainDRAM); measured != want {
+		t.Errorf("ledger measured %v, want the integrated %v", measured, want)
+	}
+}

@@ -17,11 +17,12 @@ import (
 //   - Active quanta (queries in flight, load offered, or workers carrying
 //     debt) run the full per-quantum body through the step kernel cache
 //     (stepCached).
-//   - Quiescent stretches (engine empty, zero offered load) fast-forward:
-//     when every socket is idle, macroStep skips the engine entirely;
-//     otherwise stretchStep runs Engine.IdleQuantum/IdleStretch under a
-//     constant spin-only activity set. Both integrate the machine in
-//     closed form (hw.Machine.StepStretch) when its guards hold.
+//   - Quiescent stretches (engine empty, zero offered load) fast-forward
+//     through stretchStep, whether every socket is parked or workers are
+//     awake and spinning: the engine only accrues its bookkeeping
+//     (Engine.IdleStretch) under a constant spin-only activity set, and
+//     the machine integrates in closed form (hw.Machine.StepStretch)
+//     when its guards hold.
 //
 // Integer observables are identical to the reference walk (runQuanta);
 // the closed-form integration regroups float sums, so energies agree
@@ -117,14 +118,8 @@ func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) 
 			}
 			*switched = true
 		}
-		if k, idle := s.stretchQuantaFrom(*t, target, *switched); k > 1 {
-			if idle {
-				s.macroStep(k)
-				*t += time.Duration(k) * q
-			} else {
-				done := s.stretchStep(k)
-				*t += time.Duration(done) * q
-			}
+		if k := s.stretchQuantaFrom(*t, target, *switched); k > 1 {
+			*t += time.Duration(s.stretchStep(k)) * q
 			continue
 		}
 		now := s.clock.Now()
@@ -142,20 +137,20 @@ func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) 
 
 // stretchQuantaFrom plans a quiescent fast-forward from grid point t: it
 // returns how many consecutive quanta are provably workless (engine
-// quiescent, zero offered load throughout) and whether every socket is
-// also configured idle (licensing the engine-skipping macro-step instead
-// of the IdleQuantum stretch). 0 or 1 means "grind". A pending workload
-// switch caps the span, and a clock task deadline D allows the last
-// quantum to at most end at D: the task may mutate any state, and one
-// landing exactly on the window's end fires from the final clock advance
-// with the machine in the state the per-quantum walk would leave. For
-// the idle macro only, where no per-quantum epoch check runs, a pending
-// settle at instant A keeps quantum starts before A. The active stretch
-// needs no settle bound: stretchStep re-checks the configuration epochs
-// after every quantum and bails out the moment one moves.
-func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bool) {
+// quiescent, zero offered load throughout); 0 or 1 means "grind". A
+// pending workload switch caps the span, and a clock task deadline D
+// allows the last quantum to at most end at D: the task may mutate any
+// state, and one landing exactly on the window's end fires from the final
+// clock advance with the machine in the state the per-quantum walk would
+// leave. A pending settle at instant A keeps quantum starts before A.
+// That bound is not needed for correctness — stretchStep re-checks the
+// configuration epochs after every quantum, and its attribution reads
+// the active-thread counts after each step as the reference does — it
+// decides how much of a stretch StepStretch can integrate in closed form
+// before the settle forces a grind.
+func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) int {
 	if !s.engine.Quiescent() {
-		return 0, false
+		return 0
 	}
 	q := s.opts.Quantum
 	span := target - t
@@ -165,7 +160,7 @@ func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bo
 		}
 	}
 	if span < 2*q {
-		return 0, false
+		return 0
 	}
 	k := int((span + q - 1) / q)
 	now := s.clock.Now()
@@ -174,24 +169,13 @@ func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bo
 			k = kd
 		}
 	}
-	if s.kernels == nil {
-		s.initKernels()
-	}
-	idle := true
-	for sock := 0; sock < s.topo.Sockets; sock++ {
-		if !s.kernelFor(sock).idle {
-			idle = false
-		}
-	}
-	if idle {
-		if a, ok := s.machine.NextSettle(); ok {
-			if ka := int((a - now + q - 1) / q); ka < k {
-				k = ka
-			}
+	if a, ok := s.machine.NextSettle(); ok {
+		if ka := int((a - now + q - 1) / q); ka < k {
+			k = ka
 		}
 	}
 	if k < 2 {
-		return 0, false
+		return 0
 	}
 	// Scan the load profile along the quantum grid for the first nonzero
 	// offer; the stretch ends before it.
@@ -200,14 +184,14 @@ func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bo
 		n++
 	}
 	if n < 2 {
-		return 0, false
+		return 0
 	}
-	return n, idle
+	return n
 }
 
 // kernelsFresh reports whether every socket's step kernel is still valid
 // for the current machine and workload epochs — the per-quantum guard of
-// the active stretch.
+// a quiescent stretch.
 func (s *Sim) kernelsFresh() bool {
 	we := s.engine.CharacteristicsEpoch()
 	for sock := range s.kernels {
@@ -219,7 +203,7 @@ func (s *Sim) kernelsFresh() bool {
 	return true
 }
 
-// initStretch allocates the active stretch's reused buffers.
+// initStretch allocates the quiescent stretch's reused buffers.
 func (s *Sim) initStretch() {
 	s.stretchActs = newZeroActs(s.topo)
 	s.stretchEligible = make([]int, s.topo.Sockets)
@@ -227,27 +211,31 @@ func (s *Sim) initStretch() {
 }
 
 // stretchStep fast-forwards up to k quanta through an engine-quiescent
-// window with active sockets: per quantum it runs Engine.IdleQuantum (the
-// bookkeeping Step degenerates to), steps the machine under the constant
-// spin-only activity the full path would compute, and advances the clock.
-// It bails out early when any configuration or characteristics epoch
-// moves (UFS decay, settle commits, throttle transitions — anything that
-// would change the next quantum's activity), returning how many quanta it
-// actually covered.
+// window: the engine only accrues the bookkeeping Step degenerates to
+// (Engine.IdleStretch), the machine steps under the constant spin-only
+// activity the full path would compute — all zeros on a parked socket —
+// and the clock advances. It bails out early when any configuration or
+// characteristics epoch moves (UFS decay, settle commits, throttle
+// transitions — anything that would change the next quantum's activity),
+// returning how many quanta it actually covered.
 //
 // Arithmetic identity with the ground path, term by term: the activity
 // set below evaluates stepCached's expressions with every busy fraction
 // and used-instruction count pinned to their provable zeros, and
-// Engine.IdleQuantum reproduces Step's accounting adds (see its contract).
+// Engine.IdleStretch reproduces Step's accounting adds (see its contract).
 func (s *Sim) stretchStep(k int) int {
 	if s.stretchActs == nil {
 		s.initStretch()
 	}
+	if s.kernels == nil {
+		s.initKernels()
+	}
 	q := s.opts.Quantum
 	qs := q.Seconds()
 	n := s.topo.ThreadsPerSocket()
+	allIdle := true
 	for sock := range s.kernels {
-		kn := &s.kernels[sock]
+		kn := s.kernelFor(sock)
 		a := &s.stretchActs[sock]
 		elig := 0
 		nActive := 0
@@ -286,6 +274,9 @@ func (s *Sim) stretchStep(k int) int {
 		}
 		s.stretchEligible[sock] = elig
 		s.stretchActive[sock] = nActive
+		if !kn.idle {
+			allIdle = false
+		}
 	}
 	done := 0
 	for done < k {
@@ -301,20 +292,19 @@ func (s *Sim) stretchStep(k int) int {
 			s.engine.IdleStretch(now+q, q, n, s.stretchEligible, s.stretchActive)
 			s.accrueBaseline(time.Duration(n)*q, nil)
 			s.advanceQuanta(n)
-			s.settleStretchAttr(time.Duration(n) * q)
+			s.settleAttr(time.Duration(n)*q, nil)
 			done += n
-			s.batchWindows++
 			s.batchQuanta += int64(n)
 			// StepStretch's guards prove no machine epoch moved, and
 			// IdleStretch cannot move the characteristics epoch, so
 			// the kernels are still fresh.
 			continue
 		}
-		s.engine.IdleQuantum(now+q, q, s.stretchEligible, s.stretchActive)
+		s.engine.IdleStretch(now+q, q, 1, s.stretchEligible, s.stretchActive)
 		s.machine.Step(q, s.stretchActs)
 		s.accrueBaseline(q, nil)
 		s.clock.Advance(q)
-		s.settleStretchAttr(q)
+		s.settleAttr(q, nil)
 		done++
 		if s.opts.Hook != nil {
 			s.opts.Hook.OnQuantum(s.clock.Now())
@@ -334,6 +324,8 @@ func (s *Sim) stretchStep(k int) int {
 		}
 	}
 	s.stretchWindows++
-	s.stretchQuanta += int64(done)
+	if allIdle {
+		s.idleStretches++
+	}
 	return done
 }

@@ -107,7 +107,7 @@ type Options struct {
 // the simulation can observe.
 type StepHook interface {
 	// OnQuantum fires after every advanced quantum of the run loop
-	// (macro-stepped quanta included), with the new virtual now.
+	// (fast-forwarded quanta included), with the new virtual now.
 	OnQuantum(now time.Duration)
 	// OnSample fires after each trace sample, when the observability
 	// gauges have just been refreshed.
@@ -199,35 +199,28 @@ type Sim struct {
 	kernels    []stepKernel
 	kernActive [][]bool
 
-	// idleActs is the all-zero activity used by the quiescent macro-step
-	// fast path; synActs is the reused buffer of advanceSynthetic.
-	idleActs []hw.SocketActivity
-	synActs  []hw.SocketActivity
+	// synActs is the reused buffer of advanceSynthetic.
+	synActs []hw.SocketActivity
 
-	// Macro-step accounting (test introspection).
-	macroWindows int64
-	macroQuanta  int64
-
-	// Closed-form batch accounting (test introspection): stretches the
-	// machine integrated in one StepStretch call, and the quanta they
-	// covered.
-	batchWindows int64
-	batchQuanta  int64
+	// Closed-form batch accounting (test introspection): the quanta the
+	// machine integrated in StepStretch calls.
+	batchQuanta int64
 
 	// Reused per-sample power buffers (Machine.LastPowerInto).
 	bufPkgW  []units.Watt
 	bufDramW []units.Watt
 
-	// Discrete-event run loop state: the event queue, the active-stretch
-	// buffers (constant per-quantum activity, per-socket eligible worker
-	// and active worker counts), and stretch accounting (test
-	// introspection).
+	// Discrete-event run loop state: the event queue, the quiescent
+	// stretch buffers (constant per-quantum activity, per-socket eligible
+	// worker and active worker counts), and stretch accounting (test
+	// introspection): all stretches, and those that started with every
+	// socket parked.
 	events          eventQueue
 	stretchActs     []hw.SocketActivity
 	stretchEligible []int
 	stretchActive   []int
 	stretchWindows  int64
-	stretchQuanta   int64
+	idleStretches   int64
 
 	// Sampling state: power samples are averages over the sampling
 	// window (instantaneous samples alias with RTI switching).
@@ -857,47 +850,9 @@ func (s *Sim) runQuanta(dur time.Duration) error {
 	return nil
 }
 
-// macroStep advances machine and clock through k quanta of machine-wide
-// idle with zero activity, skipping the per-quantum sim work (load offer,
-// engine step, kernel evaluation) that is a no-op in this state. The
-// machine integrates the whole window in closed form
-// (hw.Machine.StepStretch, one P·(n·q) term per domain per socket); when
-// a stretch guard bails — UFS decay still drifting, turbo budget
-// recharging, a pending settle — it falls back to per-quantum
-// integration, grinding one quantum before retrying the batch so drift
-// resolves at quantum granularity.
-func (s *Sim) macroStep(k int) {
-	if s.idleActs == nil {
-		s.idleActs = newZeroActs(s.topo)
-	}
-	q := s.opts.Quantum
-	done := 0
-	for done < k {
-		if n := s.machine.StepStretch(k-done, q, s.idleActs); n > 0 {
-			s.accrueBaseline(time.Duration(n)*q, nil)
-			s.advanceQuanta(n)
-			s.settleIdleAttr(time.Duration(n) * q)
-			done += n
-			s.batchWindows++
-			s.batchQuanta += int64(n)
-			continue
-		}
-		s.machine.Step(q, s.idleActs)
-		s.accrueBaseline(q, nil)
-		s.clock.Advance(q)
-		s.settleIdleAttr(q)
-		if s.opts.Hook != nil {
-			s.opts.Hook.OnQuantum(s.clock.Now())
-		}
-		done++
-	}
-	s.macroWindows++
-	s.macroQuanta += int64(k)
-}
-
 // advanceQuanta advances the virtual clock over n quanta the machine has
 // already integrated in one closed-form stretch. With no hook attached a
-// single Advance covers the whole span: the stretch planners guarantee no
+// single Advance covers the whole span: the stretch planner guarantees no
 // task deadline lies strictly inside it, and a deadline coinciding with
 // the span's end fires with the machine and engine in the identical state
 // the per-quantum loop would have left them in. With a hook the clock
@@ -937,59 +892,32 @@ func (s *Sim) accrueBaseline(span time.Duration, stats []dodb.SocketStats) {
 	}
 }
 
-// settleStepAttr closes the attribution span of one full per-quantum
-// step: per socket, it splits the quantum's pending joules by the engine's
-// query weights and the controller's busy-poll overhead, and hands the
-// per-weight query share back to the engine for per-query distribution.
-// Called after the clock advance, so the span end is the quantum boundary
-// the machine just integrated to.
-func (s *Sim) settleStepAttr(q time.Duration) {
+// settleAttr closes the attribution span [now-span, now) the machine just
+// integrated: per socket, it splits the pending joules by the query
+// weights w (nil for a workless span) and the controller's busy-poll
+// overhead, and hands the per-weight query share back to the engine for
+// per-query distribution. Called after the clock advance, so the active
+// thread counts are the effective configuration's at the span end, as on
+// the reference path.
+func (s *Sim) settleAttr(span time.Duration, w []float64) {
 	if !s.eattr.Enabled() {
 		return
 	}
 	end := s.clock.Now()
-	w := s.engine.AttrWeights()
 	for sock := 0; sock < s.topo.Sockets; sock++ {
 		active := s.machine.EffectiveView(sock).ActiveThreads()
 		loop := 0.0
 		if s.controller != nil && active > 0 {
 			loop = s.controller.Overhead()
 		}
-		s.attrPerW[sock] = s.eattr.Settle(sock, end-q, end, active, w[sock], loop)
-	}
-	s.engine.DistributeEnergy(s.attrPerW)
-}
-
-// settleIdleAttr closes the attribution span of one machine-wide idle
-// advance (the quiescent macro-step): no active threads, no query weight,
-// no loop overhead — everything not claimed by a control window (an RTI
-// sleep slice, a settling transition) lands in the residual.
-func (s *Sim) settleIdleAttr(span time.Duration) {
-	if !s.eattr.Enabled() {
-		return
-	}
-	end := s.clock.Now()
-	for sock := 0; sock < s.topo.Sockets; sock++ {
-		s.eattr.Settle(sock, end-span, end, 0, 0, 0)
-	}
-}
-
-// settleStretchAttr closes the attribution span of an active-but-workless
-// stretch (engine quiescent, workers spinning): query weight is provably
-// zero, so the span splits between the controller's loop overhead, any
-// control windows, and the spin residual.
-func (s *Sim) settleStretchAttr(span time.Duration) {
-	if !s.eattr.Enabled() {
-		return
-	}
-	end := s.clock.Now()
-	for sock := 0; sock < s.topo.Sockets; sock++ {
-		active := s.stretchActive[sock]
-		loop := 0.0
-		if s.controller != nil && active > 0 {
-			loop = s.controller.Overhead()
+		weight := 0.0
+		if w != nil {
+			weight = w[sock]
 		}
-		s.eattr.Settle(sock, end-span, end, active, 0, loop)
+		s.attrPerW[sock] = s.eattr.Settle(sock, end-span, end, active, weight, loop)
+	}
+	if w != nil {
+		s.engine.DistributeEnergy(s.attrPerW)
 	}
 }
 
@@ -1063,7 +991,7 @@ func (s *Sim) stepCached(q time.Duration) {
 	s.machine.Step(q, acts)
 	s.accrueBaseline(q, stats)
 	s.clock.Advance(q)
-	s.settleStepAttr(q)
+	s.settleAttr(q, s.engine.AttrWeights())
 }
 
 // stepNaive is the reference step implementation: a full perf-model
@@ -1152,7 +1080,7 @@ func (s *Sim) stepNaive(q time.Duration) {
 	s.machine.Step(q, acts)
 	s.accrueBaseline(q, stats)
 	s.clock.Advance(q)
-	s.settleStepAttr(q)
+	s.settleAttr(q, s.engine.AttrWeights())
 }
 
 // sample records the trace series at profile time t. Power values are

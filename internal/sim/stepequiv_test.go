@@ -19,8 +19,8 @@ import (
 
 // stepEquivOptions builds the scenario the production-versus-reference
 // comparison runs: an ECL run over a stepped profile whose zero plateaus
-// give the quiescent fast-forward paths (idle macro windows, active
-// stretches, closed-form batching) real windows to claim, with the
+// give the quiescent fast-forward (stretches over parked sockets and
+// over awake workers, closed-form batching) real windows to claim, with the
 // observability layer, query tracing and energy attribution attached so
 // every rendered artifact enters the comparison.
 func stepEquivOptions() Options {
@@ -94,7 +94,8 @@ func runStepPath(t *testing.T, naive bool, dir string) (*Sim, *Result, Options) 
 // (internal/relock): every integer and every non-numeric byte exactly,
 // every float within 1e-9 relative. The Results must agree semantically,
 // both runs must conserve energy, and the comparison must not be vacuous:
-// production has to engage every fast path, the reference none.
+// production has to run a stretch that starts with every socket parked,
+// one with awake workers, and closed-form batching; the reference none.
 // scripts/check.sh runs this under the race detector.
 func TestStepPathsMatchReference(t *testing.T) {
 	prodDir, refDir := t.TempDir(), t.TempDir()
@@ -117,14 +118,15 @@ func TestStepPathsMatchReference(t *testing.T) {
 	assertEnergyConservation(t, "production", prod, prodOpts.Obs.Energy)
 	assertEnergyConservation(t, "reference", ref, refOpts.Obs.Energy)
 
-	if prod.macroWindows == 0 || prod.stretchWindows == 0 || prod.batchQuanta == 0 {
-		t.Errorf("production engaged %d macro windows, %d active stretches and %d batched quanta; "+
-			"every fast path must engage or the comparison is vacuous",
-			prod.macroWindows, prod.stretchWindows, prod.batchQuanta)
+	awake := prod.stretchWindows - prod.idleStretches
+	if prod.idleStretches == 0 || awake == 0 || prod.batchQuanta == 0 {
+		t.Errorf("production ran %d all-idle stretches, %d stretches with awake workers and %d batched quanta; "+
+			"every fast-forward case must engage or the comparison is vacuous",
+			prod.idleStretches, awake, prod.batchQuanta)
 	}
-	if ref.macroWindows != 0 || ref.stretchWindows != 0 || ref.batchQuanta != 0 || ref.kernels != nil {
-		t.Errorf("reference engaged a fast path: %d macro windows, %d active stretches, %d batched quanta, kernel cache %v",
-			ref.macroWindows, ref.stretchWindows, ref.batchQuanta, ref.kernels != nil)
+	if ref.stretchWindows != 0 || ref.batchQuanta != 0 || ref.kernels != nil {
+		t.Errorf("reference engaged a fast path: %d stretches, %d batched quanta, kernel cache %v",
+			ref.stretchWindows, ref.batchQuanta, ref.kernels != nil)
 	}
 }
 
@@ -492,9 +494,9 @@ func BenchmarkStepKernelNoMemo(b *testing.B) { benchStepKernel(b, true) }
 
 // BenchmarkIdleHeavyRun runs a full 60 s simulation whose load profile is
 // two short bursts around a long zero plateau — the shape where the
-// discrete-event scheduler's quiescent stretches (idle macro-steps and
-// active-but-workless IdleQuantum windows) and their closed-form
-// integration dominate. No observer is attached: this measures the
+// discrete-event scheduler's quiescent stretches (over parked sockets
+// and over awake but workless workers) and their closed-form integration
+// dominate. No observer is attached: this measures the
 // headless sweep configuration the figure regenerators run in.
 func BenchmarkIdleHeavyRun(b *testing.B) {
 	levels := make([]float64, 30)

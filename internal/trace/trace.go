@@ -6,7 +6,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -67,24 +66,6 @@ func (s *Series) Min() float64 {
 		return 0
 	}
 	return min
-}
-
-// Percentile returns the p-quantile (0..1) of the values using
-// nearest-rank, or 0 when empty.
-func (s *Series) Percentile(p float64) float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.Values...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Integrate computes the time integral of the series over [0, end]

@@ -22,20 +22,11 @@ func TestSeriesStats(t *testing.T) {
 	if got := s.Min(); got != 1 {
 		t.Errorf("Min = %v, want 1", got)
 	}
-	if got := s.Percentile(0.5); got != 3 {
-		t.Errorf("P50 = %v, want 3", got)
-	}
-	if got := s.Percentile(1.0); got != 5 {
-		t.Errorf("P100 = %v, want 5", got)
-	}
-	if got := s.Percentile(0.01); got != 1 {
-		t.Errorf("P1 = %v, want 1", got)
-	}
 }
 
 func TestEmptySeriesStats(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 || s.Percentile(0.5) != 0 {
+	if s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 {
 		t.Error("empty series stats should be 0")
 	}
 	if s.Integrate(time.Hour) != 0 {

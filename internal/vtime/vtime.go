@@ -90,7 +90,7 @@ func (t Task) Deadline() (time.Duration, bool) {
 // ok=false when nothing is scheduled. The bound is conservative: cancelled
 // tasks still in the heap are counted, so the true next firing may be
 // later than reported — never earlier. This is exactly the guarantee the
-// simulation's quiescent fast path needs to bound a macro-step window.
+// simulation's quiescent fast-forward needs to bound a stretch.
 func (c *Clock) NextDeadline() (time.Duration, bool) {
 	if len(c.tasks) == 0 {
 		return 0, false

@@ -19,7 +19,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== gofmt"
+# step NAME: print the elapsed seconds of the step before it, then
+# announce NAME (an empty NAME only closes the last step). The per-step
+# and whole-gate times are the gate's wall-time record.
+gate_start=$SECONDS
+step_name=""
+step_start=$SECONDS
+step() {
+    if [ -n "$step_name" ]; then
+        echo "-- $step_name: $((SECONDS - step_start)) s"
+    fi
+    step_name="$1"
+    step_start=$SECONDS
+    if [ -n "$step_name" ]; then
+        echo "== $step_name"
+    fi
+}
+
+step "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed:" >&2
@@ -27,37 +44,37 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go build"
+step "go build"
 go build ./...
 
-echo "== go vet"
+step "go vet"
 go vet ./...
 
-echo "== ecllint"
+step "ecllint"
 # -unused-directives: a suppression that no longer suppresses anything
 # is a stale justification and fails the gate too.
 go run ./cmd/ecllint -unused-directives ./...
 
-echo "== ecllint on internal/lint"
+step "ecllint on internal/lint"
 # The analyzer package holds itself to its own contract. ./... above
 # already covers it; this separate invocation keeps the self-check
 # visible even if the tree-wide run ever narrows its patterns.
 go run ./cmd/ecllint -unused-directives ./internal/lint ./cmd/ecllint
 
-echo "== go test -short"
+step "go test -short"
 go test -short -count=1 ./...
 
-echo "== perfbench module vet + short tests"
+step "perfbench module vet + short tests"
 # perfbench/ is its own module (ecldb/perfbench, replace ecldb => ../),
 # so the root ./... patterns above skip it. Its short tests are the
 # benchmark harness's self-checks: metric parsing, the fingerprint
 # check, the profile decoder, and the workload decorator.
 (cd perfbench && go vet ./... && go test -short -count=1 ./...)
 
-echo "== determinism under -race"
+step "determinism under -race"
 go test -race -short -count=1 -run 'TestDeterminism' ./internal/sim
 
-echo "== step paths against the reference under -race"
+step "step paths against the reference under -race"
 # internal/sim keeps two step paths: production (event loop, kernel
 # cache, closed-form stretch integration) and the reference (plain
 # quantum walk, full per-step evaluation, per-quantum integration;
@@ -71,14 +88,14 @@ echo "== step paths against the reference under -race"
 # the audit ledger's baseline at or above the spin floor.
 go test -race -count=1 -run 'TestStepPathsMatchReference|TestKernelCacheLockstep' ./internal/sim
 
-echo "== query trace validity + byte-identity under -race"
+step "query trace validity + byte-identity under -race"
 # A short traced simulation: the Perfetto export must parse as JSON,
 # match byte-for-byte across two same-seed runs, and leave the recorded
 # series untouched (tracing is read-only). The determinism digest above
 # also folds the export and the phase-breakdown table in.
 go test -race -count=1 -run 'TestQueryTrace' ./internal/sim
 
-echo "== live serving surface under -race"
+step "live serving surface under -race"
 # cmd/eclserve must build, and the serve package's tests run a short
 # simulation with the full HTTP stack attached: the golden Prometheus
 # exposition over HTTP, an SSE subscriber asserting at least one typed
@@ -88,7 +105,7 @@ echo "== live serving surface under -race"
 go build -o /dev/null ./cmd/eclserve
 go test -race -count=1 -run 'TestServ' ./internal/serve
 
-echo "== energy attribution under -race"
+step "energy attribution under -race"
 # The attribution meter's contract, raced: conservation (the meter's
 # mirror is bitwise equal to the machine's RAPL counters and the
 # queries/control/residual partition sums back exactly) is asserted
@@ -101,7 +118,7 @@ echo "== energy attribution under -race"
 go test -race -count=1 -run 'TestEnergyAttr|TestIdleECLAllocationBound' ./internal/sim
 go test -race -count=1 ./internal/obs/energyattr
 
-echo "== digest re-lock semantic check"
+step "digest re-lock semantic check"
 # The closed-form stretch integration (DESIGN.md §16) changes the
 # grouping of float sums, so energies are not byte-identical to the
 # per-quantum reference. The re-lock harness's fast mode regenerates a
@@ -112,10 +129,11 @@ relock_out=$(mktemp -d)
 ./scripts/relock.sh --check "$relock_out"
 rm -rf "$relock_out"
 
-echo "== parallel sweep byte-identity under -race"
+step "parallel sweep byte-identity under -race"
 # Not -short: the comparison regenerates a sized-down figure three times
 # (sequential, 2 workers, 4 workers) and diffs tables, JSONL event
 # streams, and metrics expositions byte for byte.
 go test -race -count=1 -run 'TestParallelSweepByteIdentical' ./internal/bench
 
-echo "check.sh: all green"
+step ""
+echo "check.sh: all green in $((SECONDS - gate_start)) s"
